@@ -27,33 +27,11 @@
 use crate::compose::SubstitutionId;
 use crate::governor::{ResourceExhausted, ResourceGovernor};
 use crate::manager::Op;
-use crate::shared::{self, SharedOp};
 use crate::{Manager, NodeId, VarId};
 
 impl Manager {
-    /// Whether the concurrent kernel is enabled for this manager. Only
-    /// the public entry points consult it — inner recursion stays on
-    /// the `_seq` twins, so a dispatched operation never re-probes the
-    /// size gate at every cache-miss step.
-    #[inline]
-    fn shared_enabled(&self) -> bool {
-        self.kernel_config().shared_workers >= 2
-    }
     /// Budgeted [`Manager::not`].
     pub fn try_not(
-        &mut self,
-        f: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Not(f), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_not_seq(f, gov)
-    }
-
-    pub(crate) fn try_not_seq(
         &mut self,
         f: NodeId,
         gov: &ResourceGovernor,
@@ -69,31 +47,15 @@ impl Manager {
         }
         gov.checkpoint(self.live_node_count())?;
         let n = self.node(f);
-        let lo = self.try_not_seq(n.lo, gov)?;
-        let hi = self.try_not_seq(n.hi, gov)?;
+        let lo = self.try_not(n.lo, gov)?;
+        let hi = self.try_not(n.hi, gov)?;
         let r = self.mk(n.var, lo, hi);
         self.cache.insert(key, r);
         Ok(r)
     }
 
-    /// Budgeted [`Manager::and`]. With [`crate::KernelConfig::shared_workers`]
-    /// at `2+`, large calls run on the work-stealing concurrent kernel;
-    /// the result is the same canonical node either way.
+    /// Budgeted [`Manager::and`].
     pub fn try_and(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::And(f, g), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_and_seq(f, g, gov)
-    }
-
-    pub(crate) fn try_and_seq(
         &mut self,
         f: NodeId,
         g: NodeId,
@@ -122,23 +84,8 @@ impl Manager {
         Ok(r)
     }
 
-    /// Budgeted [`Manager::or`]; concurrent at `shared_workers >= 2`
-    /// like [`Manager::try_and`].
+    /// Budgeted [`Manager::or`].
     pub fn try_or(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Or(f, g), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_or_seq(f, g, gov)
-    }
-
-    pub(crate) fn try_or_seq(
         &mut self,
         f: NodeId,
         g: NodeId,
@@ -167,23 +114,8 @@ impl Manager {
         Ok(r)
     }
 
-    /// Budgeted [`Manager::xor`]; concurrent at `shared_workers >= 2`
-    /// like [`Manager::try_and`].
+    /// Budgeted [`Manager::xor`].
     pub fn try_xor(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Xor(f, g), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_xor_seq(f, g, gov)
-    }
-
-    pub(crate) fn try_xor_seq(
         &mut self,
         f: NodeId,
         g: NodeId,
@@ -199,10 +131,10 @@ impl Manager {
             return Ok(f);
         }
         if f.is_true() {
-            return self.try_not_seq(g, gov);
+            return self.try_not(g, gov);
         }
         if g.is_true() {
-            return self.try_not_seq(f, gov);
+            return self.try_not(f, gov);
         }
         let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
         let key = (Op::Xor, a.0, b.0, 0);
@@ -227,33 +159,17 @@ impl Manager {
         let (f0, f1) = if lf == top { self.branches(f) } else { (f, f) };
         let (g0, g1) = if lg == top { self.branches(g) } else { (g, g) };
         let (lo, hi) = match op {
-            Op::And => (self.try_and_seq(f0, g0, gov)?, self.try_and_seq(f1, g1, gov)?),
-            Op::Or => (self.try_or_seq(f0, g0, gov)?, self.try_or_seq(f1, g1, gov)?),
-            Op::Xor => (self.try_xor_seq(f0, g0, gov)?, self.try_xor_seq(f1, g1, gov)?),
+            Op::And => (self.try_and(f0, g0, gov)?, self.try_and(f1, g1, gov)?),
+            Op::Or => (self.try_or(f0, g0, gov)?, self.try_or(f1, g1, gov)?),
+            Op::Xor => (self.try_xor(f0, g0, gov)?, self.try_xor(f1, g1, gov)?),
             _ => unreachable!("try_binary_step only handles AND/OR/XOR"),
         };
         let var = self.var_at_level(top);
         Ok(self.mk(var, lo, hi))
     }
 
-    /// Budgeted [`Manager::ite`]; concurrent at `shared_workers >= 2`
-    /// like [`Manager::try_and`].
+    /// Budgeted [`Manager::ite`].
     pub fn try_ite(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        h: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Ite(f, g, h), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_ite_seq(f, g, h, gov)
-    }
-
-    pub(crate) fn try_ite_seq(
         &mut self,
         f: NodeId,
         g: NodeId,
@@ -273,7 +189,7 @@ impl Manager {
             return Ok(f);
         }
         if g.is_false() && h.is_true() {
-            return self.try_not_seq(f, gov);
+            return self.try_not(f, gov);
         }
         let key = (Op::Ite, f.0, g.0, h.0);
         if let Some(r) = self.cache.get(key) {
@@ -284,8 +200,8 @@ impl Manager {
         let (f0, f1) = if self.level(f) == top { self.branches(f) } else { (f, f) };
         let (g0, g1) = if self.level(g) == top { self.branches(g) } else { (g, g) };
         let (h0, h1) = if self.level(h) == top { self.branches(h) } else { (h, h) };
-        let lo = self.try_ite_seq(f0, g0, h0, gov)?;
-        let hi = self.try_ite_seq(f1, g1, h1, gov)?;
+        let lo = self.try_ite(f0, g0, h0, gov)?;
+        let hi = self.try_ite(f1, g1, h1, gov)?;
         let var = self.var_at_level(top);
         let r = self.mk(var, lo, hi);
         self.cache.insert(key, r);
@@ -414,35 +330,23 @@ impl Manager {
         self.try_forall_cube(f, cube, gov)
     }
 
-    /// Budgeted [`Manager::exists_cube`]; concurrent at
-    /// `shared_workers >= 2` like [`Manager::try_and`].
+    /// Budgeted [`Manager::exists_cube`].
     pub fn try_exists_cube(
         &mut self,
         f: NodeId,
         cube: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Exists(f, cube), gov)? {
-                return Ok(r);
-            }
-        }
         self.try_quant_rec(f, cube, Op::Exists, gov)
     }
 
-    /// Budgeted [`Manager::forall_cube`]; concurrent at
-    /// `shared_workers >= 2` like [`Manager::try_and`].
+    /// Budgeted [`Manager::forall_cube`].
     pub fn try_forall_cube(
         &mut self,
         f: NodeId,
         cube: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::Forall(f, cube), gov)? {
-                return Ok(r);
-            }
-        }
         self.try_quant_rec(f, cube, Op::Forall, gov)
     }
 
@@ -477,8 +381,8 @@ impl Manager {
             let lo = self.try_quant_rec(f0, rest, op, gov)?;
             let hi = self.try_quant_rec(f1, rest, op, gov)?;
             match op {
-                Op::Exists => self.try_or_seq(lo, hi, gov)?,
-                Op::Forall => self.try_and_seq(lo, hi, gov)?,
+                Op::Exists => self.try_or(lo, hi, gov)?,
+                Op::Forall => self.try_and(lo, hi, gov)?,
                 _ => unreachable!(),
             }
         } else {
@@ -492,24 +396,8 @@ impl Manager {
 
     /// Budgeted [`Manager::and_exists`] — the relational product at the
     /// heart of image computation, where mid-operation blow-up is most
-    /// dangerous. Concurrent at `shared_workers >= 2` like
-    /// [`Manager::try_and`].
+    /// dangerous.
     pub fn try_and_exists(
-        &mut self,
-        f: NodeId,
-        g: NodeId,
-        cube: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Result<NodeId, ResourceExhausted> {
-        if self.shared_enabled() {
-            if let Some(r) = shared::dispatch(self, SharedOp::AndExists(f, g, cube), gov)? {
-                return Ok(r);
-            }
-        }
-        self.try_and_exists_seq(f, g, cube, gov)
-    }
-
-    pub(crate) fn try_and_exists_seq(
         &mut self,
         f: NodeId,
         g: NodeId,
@@ -523,13 +411,13 @@ impl Manager {
             return Ok(NodeId::TRUE);
         }
         if cube.is_true() {
-            return self.try_and_seq(f, g, gov);
+            return self.try_and(f, g, gov);
         }
         if f.is_true() {
-            return self.try_quant_rec(g, cube, Op::Exists, gov);
+            return self.try_exists_cube(g, cube, gov);
         }
         if g.is_true() {
-            return self.try_quant_rec(f, cube, Op::Exists, gov);
+            return self.try_exists_cube(f, cube, gov);
         }
         let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
         let key = (Op::Exists, a.0, b.0, cube.0);
@@ -546,16 +434,16 @@ impl Manager {
         let (b0, b1) = if self.level(b) == top { self.branches(b) } else { (b, b) };
         let r = if !cube_here.is_true() && self.level(cube_here) == top {
             let rest = self.branches(cube_here).1;
-            let lo = self.try_and_exists_seq(a0, b0, rest, gov)?;
+            let lo = self.try_and_exists(a0, b0, rest, gov)?;
             if lo.is_true() {
                 NodeId::TRUE
             } else {
-                let hi = self.try_and_exists_seq(a1, b1, rest, gov)?;
-                self.try_or_seq(lo, hi, gov)?
+                let hi = self.try_and_exists(a1, b1, rest, gov)?;
+                self.try_or(lo, hi, gov)?
             }
         } else {
-            let lo = self.try_and_exists_seq(a0, b0, cube_here, gov)?;
-            let hi = self.try_and_exists_seq(a1, b1, cube_here, gov)?;
+            let lo = self.try_and_exists(a0, b0, cube_here, gov)?;
+            let hi = self.try_and_exists(a1, b1, cube_here, gov)?;
             let var = self.var_at_level(top);
             self.mk(var, lo, hi)
         };

@@ -124,17 +124,9 @@ pub enum FaultSite {
     SynthDecompose,
     /// Start of one `parallel_map` worker task (ordinal = task index).
     ParTask,
-    /// Entry of one portfolio-raced decomposability check (both arms
-    /// still ahead; firing here kills the whole race).
-    PortfolioRace,
     /// One governed BDD→CNF encoding pass (the Tseitin translation a
     /// governed SAT check or SEC frame performs before solving).
     SatEncode,
-    /// Entry of one shared-memory concurrent kernel operation (the
-    /// coordinator crosses it exactly once per dispatched apply/ITE/
-    /// quantify, before any worker thread is spawned, so crossing
-    /// counts stay deterministic under any worker count).
-    BddSharedApply,
     /// One SAT-sweeping refinement event: crossed once per pairwise
     /// equivalence query the sweep's persistent solver attempts
     /// (before the budgeted solve), so chaos cells can kill the sweep
@@ -144,12 +136,13 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Number of registered sites.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 12;
 
     /// Every registered site, in registry order. Chaos sweeps iterate
-    /// this to enumerate cells; keep it in sync with the enum. New sites
-    /// are appended so existing indices (and the cell kinds a seed
-    /// derives from them) stay stable across releases.
+    /// this to enumerate cells; keep it in sync with the enum. Indices
+    /// are dense positions in this list, so removing a site shifts every
+    /// later index — and with it the kind [`FaultPlan::derive_kind`]
+    /// draws for those sites' chaos cells at a given seed.
     pub const ALL: [FaultSite; FaultSite::COUNT] = [
         FaultSite::BddApply,
         FaultSite::BddGc,
@@ -161,13 +154,12 @@ impl FaultSite {
         FaultSite::SatReduceDb,
         FaultSite::SynthDecompose,
         FaultSite::ParTask,
-        FaultSite::PortfolioRace,
         FaultSite::SatEncode,
-        FaultSite::BddSharedApply,
         FaultSite::NetlistSweep,
     ];
 
-    /// Stable index into per-site counter arrays.
+    /// Dense index into per-site counter arrays (the site's position in
+    /// [`FaultSite::ALL`]).
     pub fn index(self) -> usize {
         match self {
             FaultSite::BddApply => 0,
@@ -180,10 +172,8 @@ impl FaultSite {
             FaultSite::SatReduceDb => 7,
             FaultSite::SynthDecompose => 8,
             FaultSite::ParTask => 9,
-            FaultSite::PortfolioRace => 10,
-            FaultSite::SatEncode => 11,
-            FaultSite::BddSharedApply => 12,
-            FaultSite::NetlistSweep => 13,
+            FaultSite::SatEncode => 10,
+            FaultSite::NetlistSweep => 11,
         }
     }
 
@@ -200,9 +190,7 @@ impl FaultSite {
             FaultSite::SatReduceDb => "sat.reduce_db",
             FaultSite::SynthDecompose => "synth.decompose",
             FaultSite::ParTask => "par.task",
-            FaultSite::PortfolioRace => "portfolio.race",
             FaultSite::SatEncode => "sat.encode",
-            FaultSite::BddSharedApply => "bdd.shared_apply",
             FaultSite::NetlistSweep => "netlist.sweep",
         }
     }
@@ -429,13 +417,6 @@ struct Inner {
     node_limit: usize,
     deadline: Option<Instant>,
     cancel: Arc<AtomicBool>,
-    /// Cancel flags of governors further up a *race* fork: a race child
-    /// gets its own private flag (so the winner can cancel just the
-    /// loser) but must still die when any enclosing computation is
-    /// cancelled. Empty everywhere except under [`fork_race`].
-    ///
-    /// [`fork_race`]: ResourceGovernor::fork_race
-    upstream_cancels: Vec<Arc<AtomicBool>>,
     /// Ancestor whose budget this governor's steps also consume.
     parent: Option<Arc<Inner>>,
     /// Precomputed: false iff the only possible trip is cancellation,
@@ -453,11 +434,6 @@ impl Inner {
             return Err(ResourceExhausted::Steps);
         }
         Ok(n)
-    }
-
-    fn cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-            || self.upstream_cancels.iter().any(|f| f.load(Ordering::Relaxed))
     }
 }
 
@@ -499,13 +475,11 @@ impl Default for ResourceGovernor {
 }
 
 impl ResourceGovernor {
-    #[allow(clippy::too_many_arguments)]
     fn from_parts(
         step_limit: u64,
         node_limit: usize,
         deadline: Option<Instant>,
         cancel: Arc<AtomicBool>,
-        upstream_cancels: Vec<Arc<AtomicBool>>,
         parent: Option<Arc<Inner>>,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
@@ -520,7 +494,6 @@ impl ResourceGovernor {
                 node_limit,
                 deadline,
                 cancel,
-                upstream_cancels,
                 parent,
                 metered,
                 faults,
@@ -536,7 +509,6 @@ impl ResourceGovernor {
             usize::MAX,
             None,
             Arc::new(AtomicBool::new(false)),
-            Vec::new(),
             None,
             None,
         )
@@ -551,7 +523,6 @@ impl ResourceGovernor {
             inner.node_limit,
             inner.deadline,
             inner.cancel.clone(),
-            inner.upstream_cancels.clone(),
             inner.parent.clone(),
             inner.faults.clone(),
         )
@@ -566,7 +537,6 @@ impl ResourceGovernor {
             limit,
             inner.deadline,
             inner.cancel.clone(),
-            inner.upstream_cancels.clone(),
             inner.parent.clone(),
             inner.faults.clone(),
         )
@@ -580,7 +550,6 @@ impl ResourceGovernor {
             inner.node_limit,
             Instant::now().checked_add(timeout),
             inner.cancel.clone(),
-            inner.upstream_cancels.clone(),
             inner.parent.clone(),
             inner.faults.clone(),
         )
@@ -596,7 +565,6 @@ impl ResourceGovernor {
             inner.node_limit,
             inner.deadline,
             inner.cancel.clone(),
-            inner.upstream_cancels.clone(),
             inner.parent.clone(),
             Some(plan),
         )
@@ -624,54 +592,7 @@ impl ResourceGovernor {
             inner.node_limit,
             inner.deadline,
             inner.cancel.clone(),
-            inner.upstream_cancels.clone(),
             Some(self.inner.clone()),
-            inner.faults.clone(),
-        )
-    }
-
-    /// Creates a child governor for one arm of a portfolio race:
-    /// `limit` steps are charged to this governor (and its ancestors)
-    /// *up front*, and the child never charges upstream again.
-    ///
-    /// Racing under plain [`fork_steps`](Self::fork_steps) would leak
-    /// nondeterminism: the cancelled loser consumes a scheduler-dependent
-    /// number of steps, so any later budget verdict that shares an
-    /// ancestor would flip between runs. Prepaying makes the parent-side
-    /// cost of a race a pure function of the requested limits, whatever
-    /// the arms actually do.
-    ///
-    /// The child has a *private* cancellation flag — the race winner
-    /// cancels only its sibling — but still observes the parent's flag
-    /// (and any flags the parent itself was racing under) through an
-    /// upstream-cancel list, so an enclosing cancellation drains racers
-    /// too. Deadline, node ceiling, and fault plan are inherited.
-    ///
-    /// Callers should size `limit` from [`remaining_steps`]
-    /// (e.g. `remaining / 2` per arm) so the prepay cannot exceed what
-    /// is actually left; a prepay beyond the remaining budget simply
-    /// exhausts the parent at its next checkpoint.
-    ///
-    /// [`remaining_steps`]: Self::remaining_steps
-    pub fn fork_race(&self, limit: u64) -> Self {
-        let inner = &self.inner;
-        if inner.metered && limit != u64::MAX {
-            inner.steps.fetch_add(limit, Ordering::Relaxed);
-            let mut ancestor = inner.parent.as_ref();
-            while let Some(a) = ancestor {
-                a.steps.fetch_add(limit, Ordering::Relaxed);
-                ancestor = a.parent.as_ref();
-            }
-        }
-        let mut upstream = inner.upstream_cancels.clone();
-        upstream.push(inner.cancel.clone());
-        ResourceGovernor::from_parts(
-            limit,
-            inner.node_limit,
-            inner.deadline,
-            Arc::new(AtomicBool::new(false)),
-            upstream,
-            None,
             inner.faults.clone(),
         )
     }
@@ -709,10 +630,9 @@ impl ResourceGovernor {
         self.inner.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the shared cancellation flag has been raised (for a race
-    /// fork: its own flag or any enclosing computation's).
+    /// Whether the shared cancellation flag has been raised.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled()
+        self.inner.cancel.load(Ordering::Relaxed)
     }
 
     /// Records one unit of work and checks every limit. Budgeted
@@ -725,7 +645,7 @@ impl ResourceGovernor {
     #[inline]
     pub fn checkpoint(&self, live_nodes: usize) -> Result<(), ResourceExhausted> {
         let inner = &*self.inner;
-        if inner.cancelled() {
+        if inner.cancel.load(Ordering::Relaxed) {
             return Err(ResourceExhausted::Cancelled);
         }
         if inner.faults.is_some() {
@@ -764,7 +684,7 @@ impl ResourceGovernor {
     #[inline]
     pub fn poll_interrupt(&self) -> Result<(), ResourceExhausted> {
         let inner = &*self.inner;
-        if inner.cancelled() {
+        if inner.cancel.load(Ordering::Relaxed) {
             return Err(ResourceExhausted::Cancelled);
         }
         if let Some(deadline) = inner.deadline {
@@ -991,75 +911,9 @@ mod tests {
     }
 
     #[test]
-    fn race_fork_prepays_exactly_once() {
-        let parent = ResourceGovernor::unlimited().with_step_limit(10);
-        let arm = parent.fork_race(4);
-        // The prepay is the whole parent-side cost: whatever the arm
-        // actually does, the parent sees exactly 4 steps.
-        assert_eq!(parent.steps_used(), 4);
-        for _ in 0..4 {
-            assert_eq!(arm.checkpoint(0), Ok(()));
-        }
-        assert_eq!(arm.checkpoint(0), Err(ResourceExhausted::Steps));
-        assert_eq!(parent.steps_used(), 4, "arm consumption never reaches the parent");
-        assert_eq!(parent.remaining_steps(), 6);
-    }
-
-    #[test]
-    fn race_fork_cancel_stays_private() {
-        let parent = ResourceGovernor::unlimited().with_step_limit(100);
-        let loser = parent.fork_race(10);
-        let winner = parent.fork_race(10);
-        loser.cancel_handle().cancel();
-        assert_eq!(loser.checkpoint(0), Err(ResourceExhausted::Cancelled));
-        assert_eq!(winner.checkpoint(0), Ok(()), "sibling arm unaffected");
-        assert_eq!(parent.checkpoint(0), Ok(()), "parent unaffected");
-        assert!(!parent.is_cancelled());
-    }
-
-    #[test]
-    fn race_fork_observes_upstream_cancel() {
-        let parent = ResourceGovernor::unlimited().with_step_limit(100);
-        let arm = parent.fork_race(10);
-        let nested = arm.fork_steps(5); // a ladder rung inside the arm
-        parent.cancel();
-        assert_eq!(arm.checkpoint(0), Err(ResourceExhausted::Cancelled));
-        assert_eq!(arm.poll_interrupt(), Err(ResourceExhausted::Cancelled));
-        assert_eq!(nested.checkpoint(0), Err(ResourceExhausted::Cancelled));
-        assert!(arm.is_cancelled());
-    }
-
-    #[test]
-    fn race_fork_from_unlimited_parent_skips_prepay_accounting() {
-        let parent = ResourceGovernor::unlimited();
-        let arm = parent.fork_race(3);
-        assert_eq!(parent.steps_used(), 0, "unlimited governor skips accounting");
-        for _ in 0..3 {
-            assert_eq!(arm.checkpoint(0), Ok(()));
-        }
-        assert_eq!(arm.checkpoint(0), Err(ResourceExhausted::Steps));
-    }
-
-    #[test]
-    fn race_fork_inherits_fault_plan_and_deadline() {
-        let plan = Arc::new(FaultPlan::new(0).with_rule(FaultSite::BddApply, 1, FaultKind::Budget));
-        let parent = ResourceGovernor::unlimited().with_fault_plan(plan.clone());
-        let arm = parent.fork_race(u64::MAX);
-        assert_eq!(arm.checkpoint(0), Err(ResourceExhausted::Steps), "injected, not real");
-        assert_eq!(plan.crossings(FaultSite::BddApply), 1);
-    }
-
-    #[test]
-    fn new_sites_parse_and_index_stably() {
-        assert_eq!("portfolio.race".parse::<FaultSite>().unwrap(), FaultSite::PortfolioRace);
+    fn sites_parse_and_index_densely() {
         assert_eq!("sat.encode".parse::<FaultSite>().unwrap(), FaultSite::SatEncode);
-        assert_eq!("bdd.shared_apply".parse::<FaultSite>().unwrap(), FaultSite::BddSharedApply);
-        // Appended at the end: pre-existing indices (and thus the kinds
-        // seeds derive for old chaos cells) are unchanged.
-        assert_eq!(FaultSite::ParTask.index(), 9);
-        assert_eq!(FaultSite::PortfolioRace.index(), 10);
-        assert_eq!(FaultSite::SatEncode.index(), 11);
-        assert_eq!(FaultSite::BddSharedApply.index(), 12);
+        assert_eq!("netlist.sweep".parse::<FaultSite>().unwrap(), FaultSite::NetlistSweep);
         for (i, site) in FaultSite::ALL.iter().enumerate() {
             assert_eq!(site.index(), i);
         }

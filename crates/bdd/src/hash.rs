@@ -61,22 +61,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
-/// Mixes a 128-bit key (as two words) down to one well-distributed
-/// word: the same multiply-rotate accumulation as [`FxHasher`] over
-/// both words, followed by an avalanche so that the *high* bits are
-/// usable for shard selection, not just the low bits for slot masks.
-#[inline]
-pub(crate) fn fx_mix128(k0: u64, k1: u64) -> u64 {
-    let mut h = k0.wrapping_mul(SEED);
-    h = (h.rotate_left(5) ^ k1).wrapping_mul(SEED);
-    h ^= h >> 32;
-    h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    h ^ (h >> 32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

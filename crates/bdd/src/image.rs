@@ -29,11 +29,7 @@
 //! built from the same inputs behaves identically regardless of how
 //! many worker threads surround it — the determinism contract of the
 //! parallel flows. All heavy lifting goes through the budgeted `try_*`
-//! entry points, so a tripped governor unwinds mid-image — and when the
-//! owning manager was built with [`crate::KernelConfig::shared_workers`]
-//! at `2+`, the large `and_exists`/`and`/`exists` calls inside each
-//! image step transparently run on the shared-memory work-stealing
-//! kernel (see `shared`), without changing any result.
+//! twins, so a tripped governor unwinds mid-image.
 
 use crate::governor::{FaultSite, ResourceExhausted, ResourceGovernor};
 use crate::{Manager, NodeId, VarId};

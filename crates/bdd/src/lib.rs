@@ -65,7 +65,6 @@ mod node;
 pub mod par;
 mod quant;
 mod restrict;
-mod shared;
 mod transfer;
 
 pub use governor::{

@@ -65,16 +65,6 @@ pub struct KernelConfig {
     pub auto_reorder: bool,
     /// Live-node count at which auto-reordering first triggers.
     pub reorder_threshold: usize,
-    /// Worker threads for the shared-memory concurrent kernel.
-    ///
-    /// `0` (the default) and `1` keep every operation on the calling
-    /// thread — the classic single-threaded path, byte-identical to
-    /// pre-concurrency builds. At `2+`, large budgeted apply/ITE/
-    /// quantify calls are executed by a work-stealing team of this many
-    /// threads sharing the unique table (CAS publish) and a sharded
-    /// lossy cache; results are the same canonical nodes either way.
-    /// GC, sifting, and compaction stay stop-the-world safe points.
-    pub shared_workers: usize,
 }
 
 impl Default for KernelConfig {
@@ -85,7 +75,6 @@ impl Default for KernelConfig {
             gc_min_nodes: 8192,
             auto_reorder: false,
             reorder_threshold: 1 << 16,
-            shared_workers: 0,
         }
     }
 }
@@ -94,14 +83,14 @@ impl Default for KernelConfig {
 // Open-addressed unique table
 // ---------------------------------------------------------------------
 
-pub(crate) const SLOT_EMPTY: u32 = u32::MAX;
-pub(crate) const SLOT_TOMB: u32 = u32::MAX - 1;
+const SLOT_EMPTY: u32 = u32::MAX;
+const SLOT_TOMB: u32 = u32::MAX - 1;
 const UNIQUE_MIN_SLOTS: usize = 1 << 10;
 
 /// Fx-style mix of a node key with a final avalanche so the low bits —
 /// the only ones a power-of-two mask keeps — depend on every input bit.
 #[inline]
-pub(crate) fn key_hash(var: u32, lo: NodeId, hi: NodeId) -> u64 {
+fn key_hash(var: u32, lo: NodeId, hi: NodeId) -> u64 {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
     let mut h = (var as u64).wrapping_mul(SEED);
     h = (h.rotate_left(5) ^ lo.0 as u64).wrapping_mul(SEED);
@@ -116,10 +105,10 @@ pub(crate) fn key_hash(var: u32, lo: NodeId, hi: NodeId) -> u64 {
 /// the index. Linear probing, tombstones on removal, wholesale rehash
 /// (dropping tombstones) when load reaches 3/4.
 #[derive(Debug, Clone)]
-pub(crate) struct UniqueTable {
-    pub(crate) slots: Vec<u32>,
-    pub(crate) occupied: usize,
-    pub(crate) tombstones: usize,
+struct UniqueTable {
+    slots: Vec<u32>,
+    occupied: usize,
+    tombstones: usize,
 }
 
 impl UniqueTable {
@@ -205,7 +194,7 @@ impl UniqueTable {
         self.rehash(nodes, target);
     }
 
-    pub(crate) fn rehash(&mut self, nodes: &[Node], target: usize) {
+    fn rehash(&mut self, nodes: &[Node], target: usize) {
         let old = std::mem::replace(&mut self.slots, vec![SLOT_EMPTY; target]);
         self.occupied = 0;
         self.tombstones = 0;
@@ -273,37 +262,18 @@ const CACHE_SLOT_EMPTY: CacheSlot = CacheSlot { k0: 0, k1: 0, r: u32::MAX };
 /// ceiling is a config knob rather than a function of the workload.
 /// Starts at `2^8` slots and doubles under miss pressure up to
 /// `2^max_bits`, so small scratch managers stay cheap.
-///
-/// The hit/miss counters are relaxed atomics: they are pure statistics
-/// (never used for control flow), and keeping them tear-free lets
-/// [`Manager::stats`] report exact totals even when concurrent-mode
-/// rows are being aggregated by the bench harness.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ComputedCache {
     slots: Vec<CacheSlot>,
     entries: usize,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+    hits: u64,
+    misses: u64,
     misses_since_resize: u64,
     max_bits: u32,
 }
 
-impl Clone for ComputedCache {
-    fn clone(&self) -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        ComputedCache {
-            slots: self.slots.clone(),
-            entries: self.entries,
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
-            misses_since_resize: self.misses_since_resize,
-            max_bits: self.max_bits,
-        }
-    }
-}
-
 #[inline]
-pub(crate) fn cache_pack(key: CacheKey) -> (u64, u64) {
+fn cache_pack(key: CacheKey) -> (u64, u64) {
     let (op, a, b, c) = key;
     (((op as u64) << 32) | a as u64, ((b as u64) << 32) | c as u64)
 }
@@ -320,13 +290,12 @@ fn cache_index(k0: u64, k1: u64, mask: usize) -> usize {
 
 impl ComputedCache {
     fn new(max_bits: u32) -> Self {
-        use std::sync::atomic::AtomicU64;
         let bits = CACHE_MIN_BITS.min(max_bits.max(1));
         ComputedCache {
             slots: vec![CACHE_SLOT_EMPTY; 1 << bits],
             entries: 0,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: 0,
+            misses: 0,
             misses_since_resize: 0,
             max_bits: max_bits.max(1),
         }
@@ -334,14 +303,13 @@ impl ComputedCache {
 
     #[inline]
     pub(crate) fn get(&mut self, key: CacheKey) -> Option<NodeId> {
-        use std::sync::atomic::Ordering;
         let (k0, k1) = cache_pack(key);
         let slot = self.slots[cache_index(k0, k1, self.slots.len() - 1)];
         if slot.r != u32::MAX && slot.k0 == k0 && slot.k1 == k1 {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits += 1;
             Some(NodeId(slot.r))
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.misses += 1;
             self.misses_since_resize += 1;
             None
         }
@@ -524,14 +492,14 @@ impl RootSet {
 #[derive(Debug, Clone)]
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: UniqueTable,
+    unique: UniqueTable,
     pub(crate) cache: ComputedCache,
     num_vars: u32,
     var_nodes: Vec<NodeId>,
     /// Variable → level (its position in the order, 0 = top).
-    pub(crate) var2level: Vec<u32>,
+    var2level: Vec<u32>,
     /// Level → variable (inverse of `var2level`).
-    pub(crate) level2var: Vec<u32>,
+    level2var: Vec<u32>,
     pub(crate) substitutions: Vec<FxHashMap<u32, NodeId>>,
     root_set: RootSet,
     config: KernelConfig,
@@ -539,7 +507,7 @@ pub struct Manager {
     /// (`lo` of a free slot is the next free index); `u32::MAX` = empty.
     free_head: u32,
     free_count: usize,
-    pub(crate) peak_live: usize,
+    peak_live: usize,
     /// Live-node count at which the next auto-GC fires.
     gc_threshold: usize,
     gc_runs: u64,
@@ -547,9 +515,6 @@ pub struct Manager {
     reorder_runs: u64,
     /// Live-node count at which the next auto-reorder fires.
     reorder_at: usize,
-    /// Shared-kernel state (concurrent computed cache and its drained
-    /// hit/miss totals). Only materialized when `shared_workers >= 2`.
-    pub(crate) shared: crate::shared::SharedHooks,
 }
 
 impl Default for Manager {
@@ -611,7 +576,6 @@ impl Manager {
             gc_freed: 0,
             reorder_runs: 0,
             reorder_at: config.reorder_threshold.max(2),
-            shared: crate::shared::SharedHooks::new(),
         };
         // Index 0: FALSE, index 1: TRUE.
         m.nodes.push(Node { var: TERMINAL_LEVEL, lo: NodeId::FALSE, hi: NodeId::FALSE });
@@ -1093,20 +1057,18 @@ impl Manager {
     /// shrinks back to its initial size). Node storage is retained.
     pub fn clear_cache(&mut self) {
         self.cache.shrink();
-        self.shared.invalidate();
     }
 
     /// Current size statistics.
     pub fn stats(&self) -> ManagerStats {
-        use std::sync::atomic::Ordering;
         ManagerStats {
             nodes: self.live_node_count(),
             allocated: self.nodes.len(),
             peak_live: self.peak_live,
             vars: self.num_vars as usize,
             cache_entries: self.cache.entries,
-            cache_hits: self.cache.hits.load(Ordering::Relaxed) + self.shared.hits,
-            cache_misses: self.cache.misses.load(Ordering::Relaxed) + self.shared.misses,
+            cache_hits: self.cache.hits,
+            cache_misses: self.cache.misses,
             gc_runs: self.gc_runs,
             gc_freed: self.gc_freed,
             reorder_runs: self.reorder_runs,
@@ -1177,11 +1139,8 @@ impl Manager {
         if freed > 0 {
             self.unique.rebuild(&self.nodes);
             // Survivors did not move, so only entries naming a freed
-            // node go; the rest of the computed table stays warm. The
-            // shared cache has no per-entry liveness walk, so it is
-            // dropped wholesale at this safe point.
+            // node go; the rest of the computed table stays warm.
             self.cache.retain_live(&self.nodes);
-            self.shared.invalidate();
         }
         self.gc_runs += 1;
         self.gc_freed += freed as u64;
@@ -1291,7 +1250,6 @@ impl Manager {
         }
         self.unique.rebuild(&self.nodes);
         self.cache.shrink();
-        self.shared.invalidate();
         self.gc_runs += 1;
         self.gc_freed += (marked.len() - next as usize) as u64;
         roots.iter().map(|r| NodeId(remap[r.index()])).collect()
@@ -1375,9 +1333,8 @@ impl Manager {
             self.sift_one(v, &mut refs, &mut by_var);
         }
         // Levels may have changed even on the early-out path; the
-        // order-dependent computed tables must go either way.
+        // order-dependent computed table must go either way.
         self.cache.invalidate();
-        self.shared.invalidate();
         self.reorder_runs += 1;
         verdict
     }

@@ -90,16 +90,6 @@ pub(crate) struct Node {
     pub hi: NodeId,
 }
 
-impl Node {
-    /// The unique-table key of this node. Hash-consing treats two nodes
-    /// as the same iff their keys match, so both the sequential `find`
-    /// path and the concurrent CAS-publish path compare via this tuple.
-    #[inline]
-    pub(crate) fn key(&self) -> (u32, NodeId, NodeId) {
-        (self.var, self.lo, self.hi)
-    }
-}
-
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! repro [all | mux-table | adder-table | table31 | table32 | figure31 | figure32
-//!        | sat-stats | parallel | portfolio | bdd-bench | shared-bench
-//!        | reach-bench | chaos | corpus | sweep-bench]
+//!        | sat-stats | parallel | bdd-bench | reach-bench | chaos | corpus
+//!        | sweep-bench]
 //!       [--quick] [--per-kind] [--jobs <N>] [--seed <N>] [--out <path>]
 //!       [--corpus-dir <dir>]
 //! ```
@@ -17,17 +17,9 @@
 //! on the paper-style SAT workloads and writes machine-readable
 //! `BENCH_sat.json`; `parallel` times the flow at `--jobs 1` vs `--jobs N`
 //! over the industrial set, checks byte-identity, and writes
-//! `BENCH_parallel.json`; `portfolio` sweeps per-candidate budgets over
-//! the two-block rescue family for each `--dec-backend`, double-running
-//! every configuration to audit race-winner independence, writes
-//! `BENCH_portfolio.json`, and **exits nonzero** if any run was not
-//! reproducible; `bdd-bench` races the production BDD kernel
+//! `BENCH_parallel.json`; `bdd-bench` races the production BDD kernel
 //! against a frozen pre-overhaul re-implementation (plus an auto-GC
 //! on/off reachability memory comparison) and writes `BENCH_bdd.json`;
-//! `shared-bench` replays the same churn and reachability workloads on
-//! the shared-memory concurrent kernel at 1/2/4/8 workers, asserts
-//! every arm's canonical result fingerprint matches the sequential
-//! reference, and writes `BENCH_shared.json`;
 //! `reach-bench` races the legacy per-bit image schedule against the
 //! clustered image engine on the seq4–seq9 circuits — asserting both
 //! reach identical sets — and writes `BENCH_reach.json`; `chaos` sweeps
@@ -39,7 +31,7 @@
 //! overrides any of the paths); `corpus` runs the corpus-scale
 //! differential harness (generated pool + any AIGER files under
 //! `--corpus-dir`, defaulting to `tests/corpus` when present) through
-//! symbi-vs-greedy across the `{bdd,sat,portfolio}` backends × budget
+//! symbi-vs-greedy across the `{bdd,sat}` backends × budget
 //! tiers with per-row SEC cross-checks and reproducibility double-runs,
 //! writes `BENCH_corpus.json`, and **exits nonzero** on any red row;
 //! `sweep-bench` runs the symbolic flow with the FRAIG-style
@@ -52,7 +44,7 @@
 use std::time::Duration;
 use symbi_bench::{
     adder_row, figure31, figure32, mux_row, table31_row, table32_row, write_bdd_json,
-    write_parallel_json, write_reach_json, write_sat_json, write_shared_json, Table31Options,
+    write_parallel_json, write_reach_json, write_sat_json, Table31Options,
 };
 use symbi_circuits::{industrial, iscas_like};
 use symbi_synth::flow::SynthesisOptions;
@@ -119,9 +111,7 @@ fn main() {
         "figure32" => print_figure32(),
         "sat-stats" => sat_stats(quick, &out_or("BENCH_sat.json")),
         "parallel" => parallel(quick, jobs, &out_or("BENCH_parallel.json")),
-        "portfolio" => portfolio(quick, &out_or("BENCH_portfolio.json")),
         "bdd-bench" => bdd_bench(quick, &out_or("BENCH_bdd.json")),
-        "shared-bench" => shared_bench(quick, &out_or("BENCH_shared.json")),
         "reach-bench" => reach_bench(quick, &out_or("BENCH_reach.json")),
         "chaos" => chaos(quick, seed, &out_or("BENCH_chaos.json")),
         "corpus" => {
@@ -136,9 +126,7 @@ fn main() {
             table31(quick, per_kind, jobs);
             table32(quick, jobs);
             sat_stats(quick, &out_or("BENCH_sat.json"));
-            portfolio(quick, &out_or("BENCH_portfolio.json"));
             bdd_bench(quick, &out_or("BENCH_bdd.json"));
-            shared_bench(quick, &out_or("BENCH_shared.json"));
             reach_bench(quick, &out_or("BENCH_reach.json"));
             chaos(quick, seed, &out_or("BENCH_chaos.json"));
             corpus(quick, jobs, seed, corpus_dir.clone(), &out_or("BENCH_corpus.json"));
@@ -147,7 +135,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment `{other}`");
             eprintln!(
-                "usage: repro [all|mux-table|adder-table|table31|table32|figure31|figure32|sat-stats|parallel|portfolio|bdd-bench|shared-bench|reach-bench|chaos|corpus|sweep-bench] [--quick] [--per-kind] [--jobs <N>] [--seed <N>] [--out <path>] [--corpus-dir <dir>]"
+                "usage: repro [all|mux-table|adder-table|table31|table32|figure31|figure32|sat-stats|parallel|bdd-bench|reach-bench|chaos|corpus|sweep-bench] [--quick] [--per-kind] [--jobs <N>] [--seed <N>] [--out <path>] [--corpus-dir <dir>]"
             );
             std::process::exit(2);
         }
@@ -318,47 +306,6 @@ fn chaos(quick: bool, seed: Option<u64>, out_path: &str) {
     }
 }
 
-fn portfolio(quick: bool, out_path: &str) {
-    use symbi_bench::write_portfolio_json;
-    println!(
-        "\n=== Portfolio rescue rung: decomposability backends under a budget sweep (written to {out_path}) ==="
-    );
-    println!(
-        "{:>10} {:>10} {:>8} {:>8} {:>14} {:>9} {:>6} {:>8} {:>8} {:>8} {:>13}",
-        "Circuit", "Backend", "Budgets", "Rescued", "Window", "Fallback", "Races", "BddWins",
-        "SatWins", "Cancels", "Deterministic"
-    );
-    let rows = write_portfolio_json(std::path::Path::new(out_path), quick)
-        .expect("failed to write BENCH_portfolio.json");
-    let mut all_deterministic = true;
-    for r in &rows {
-        println!(
-            "{:>10} {:>10} {:>8} {:>8} {:>14} {:>9} {:>6} {:>8} {:>8} {:>8} {:>13}",
-            r.name,
-            r.backend,
-            r.budgets_swept,
-            r.rescued,
-            if r.rescued == 0 {
-                "-".to_string()
-            } else {
-                format!("{}..{}", r.first_rescue_budget, r.last_rescue_budget)
-            },
-            r.fallbacks,
-            r.races,
-            r.bdd_wins,
-            r.sat_wins,
-            r.cancels,
-            r.deterministic,
-        );
-        all_deterministic &= r.deterministic;
-    }
-    println!("(rescued > 0 for sat/portfolio on budgets where the pure-BDD ladder degrades)");
-    if !all_deterministic {
-        eprintln!("portfolio sweep was not reproducible — failing the run");
-        std::process::exit(1);
-    }
-}
-
 fn reach_bench(quick: bool, out_path: &str) {
     println!("\n=== Image computation: per-bit schedule vs clustered engine (written to {out_path}) ===");
     println!(
@@ -415,31 +362,6 @@ fn bdd_bench(quick: bool, out_path: &str) {
             hit_pct,
         );
     }
-}
-
-fn shared_bench(quick: bool, out_path: &str) {
-    println!("\n=== Shared-memory kernel: 1/2/4/8 workers (written to {out_path}) ===");
-    println!(
-        "{:>14} {:>8} {:>10} {:>10} {:>12} {:>8} {:>20}",
-        "Workload", "Workers", "Ops", "Seconds", "Ops/s", "Speedup", "Fingerprint"
-    );
-    // shared_rows itself asserts every arm's fingerprint equals the
-    // sequential reference, so reaching the printing loop is the proof.
-    let rows = write_shared_json(std::path::Path::new(out_path), quick)
-        .expect("failed to write BENCH_shared.json");
-    for r in &rows {
-        println!(
-            "{:>14} {:>8} {:>10} {:>10.3} {:>12.0} {:>8.2} {:>#20x}",
-            r.name,
-            r.workers,
-            r.ops,
-            r.seconds,
-            r.ops_per_sec(),
-            r.speedup(),
-            r.fingerprint,
-        );
-    }
-    println!("all worker counts produced identical canonical results");
 }
 
 fn parallel(quick: bool, jobs: usize, out_path: &str) {

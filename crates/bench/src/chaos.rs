@@ -181,10 +181,6 @@ fn suite(quick: bool) -> Vec<Netlist> {
 /// site's contract is the `Err` path, so `panic` draws are remapped to
 /// budget trips rather than asserting a guarantee the ladder never made.
 ///
-/// `portfolio.race` qualifies: the site fires on the candidate's own
-/// thread at race entry (before any arm spawns), inside the flow's
-/// per-candidate `catch_unwind` boundary.
-///
 /// `netlist.sweep` qualifies: the whole SAT-sweeping pre-pass runs
 /// inside the flow's sweep-attempt `catch_unwind` boundary, and a crash
 /// there degrades to the unswept netlist.
@@ -194,18 +190,9 @@ fn panic_is_isolated(site: FaultSite) -> bool {
         FaultSite::ParTask
             | FaultSite::SynthDecompose
             | FaultSite::ReachFixpoint
-            | FaultSite::PortfolioRace
             | FaultSite::NetlistSweep
     )
 }
-
-/// Per-candidate step budget for `portfolio.race` cells. The site only
-/// exists on the ladder's rescue rung — a budget-tripped symbolic
-/// partition search under a non-BDD backend — so those cells run the
-/// portfolio backend with a candidate budget tight enough to trip the
-/// symbolic search on the suite's cones (probed: the site is crossed
-/// ~20 times per flow at this budget, and not at all above ~16k).
-const PORTFOLIO_CELL_BUDGET: u64 = 1000;
 
 /// SEC frames checked by the equivalence audit.
 const AUDIT_FRAMES: usize = 4;
@@ -227,18 +214,6 @@ fn run_cell_body(input: &Netlist, site: FaultSite, occurrence: u64, kind: FaultK
     // `sat.*` sites are actually crossed; the audit below re-checks
     // equivalence under a clean governor regardless of its verdict.
     let mut options = SynthesisOptions { jobs, validate_frames: Some(2), ..Default::default() };
-    if site == FaultSite::PortfolioRace {
-        options.decompose.backend = symbi_core::recursive::DecBackend::Portfolio;
-        options.budget.candidate_steps = PORTFOLIO_CELL_BUDGET;
-    }
-    if site == FaultSite::BddSharedApply {
-        // The site only exists on the shared-memory dispatch path, so
-        // those cells run every manager with the concurrent kernel on.
-        options.kernel.shared_workers = 2;
-        if let Some(reach) = options.reach.as_mut() {
-            reach.kernel.shared_workers = 2;
-        }
-    }
     if site == FaultSite::NetlistSweep {
         // The site only exists inside the SAT-sweeping pre-pass, so
         // those cells run the flow with sweeping on. A fired fault must
@@ -263,10 +238,7 @@ fn run_cell_body(input: &Netlist, site: FaultSite, occurrence: u64, kind: FaultK
     // fault-free care set to be contained in the faulted one.
     let audit_plan = Arc::new(FaultPlan::new(seed).with_rule(site, occurrence, kind));
     let audit_gov = ResourceGovernor::unlimited().with_fault_plan(Arc::clone(&audit_plan));
-    let mut reach_opts = ReachabilityOptions::default();
-    if site == FaultSite::BddSharedApply {
-        reach_opts.kernel.shared_workers = 2;
-    }
+    let reach_opts = ReachabilityOptions::default();
     let mut clean_reach = Reachability::analyze(input, reach_opts);
     let mut faulted_reach = Reachability::analyze_governed(input, reach_opts, &audit_gov);
     let latches: Vec<SignalId> = input.latches().to_vec();
@@ -483,31 +455,6 @@ mod tests {
         assert_eq!(report.hangs(), 0);
         assert_eq!(report.escaped_panics(), 0);
         assert!(report.fired() > 0, "the sweep must exercise at least some sites");
-    }
-
-    #[test]
-    fn portfolio_race_cells_fire_every_kind_and_stay_sound() {
-        // The race site under all four fault kinds, on the cell harness
-        // with its full audit stack. `cancel` is the cancelled-loser
-        // case: the raced arms die mid-check, and the candidate — whose
-        // manager and governor the race borrowed — must still drain to
-        // an equivalent netlist and leave the flow reusable for the
-        // remaining candidates.
-        let options = ChaosOptions::default();
-        let input = chaos_counter();
-        for kind in
-            [FaultKind::Budget, FaultKind::Cancel, FaultKind::Panic, FaultKind::AllocPressure]
-        {
-            let cell =
-                run_cell(&input, "chaos_ctr6", FaultSite::PortfolioRace, 1, kind, &options);
-            assert!(cell.fired > 0, "{}: the race site was never crossed", kind.as_str());
-            assert!(
-                cell.violations.is_empty(),
-                "{}: {:?}",
-                kind.as_str(),
-                cell.violations
-            );
-        }
     }
 
     /// The counter suite member plus a De Morgan twin of one of its

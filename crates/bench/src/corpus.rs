@@ -6,22 +6,19 @@
 //! This harness turns a corpus of circuits (a deterministic generator
 //! pool plus any AIGER files from a corpus directory) into a grid of
 //! differential cells: every circuit runs through the full symbolic
-//! flow *and* a greedy baseline, across the `{bdd, sat, portfolio}`
+//! flow *and* a greedy baseline, across the `{bdd, sat}`
 //! decomposability backends and two budget tiers, and every cell is
-//! audited three ways:
+//! audited four ways:
 //!
 //! - **SEC cross-check**: both the optimized and the baseline netlist
 //!   are bounded-equivalence-checked against the original. A mismatch
 //!   is a soundness bug, full stop.
 //! - **Backend agreement**: at the unlimited tier no decomposability
-//!   check can trip its budget, so the rescue rung never fires and all
-//!   three backends must emit byte-identical netlists (see
-//!   [`symbi_core::recursive::DecBackend`]). At the tight tier the SAT
-//!   and portfolio backends must still agree with each other — both
-//!   rescue exactly the checks the budget tripped, and a completed
-//!   check's verdict never depends on the engine. The pure-BDD ladder
-//!   is exempt at the tight tier: it has no rescue rung, so it may
-//!   degrade where the others recover.
+//!   check can trip its budget, so the rescue rung never fires and both
+//!   backends must emit byte-identical netlists (see
+//!   [`symbi_core::recursive::DecBackend`]). The tight tier has no
+//!   agreement contract: the pure-BDD ladder has no rescue rung, so it
+//!   may degrade where the SAT backend recovers.
 //! - **Swept-arm cross-check**: every cell also runs the same flow with
 //!   the FRAIG-style SAT-sweeping pre-pass on
 //!   ([`SynthesisOptions::sweep`]) and records its area/depth/runtime
@@ -71,14 +68,14 @@ impl Default for CorpusOptions {
 
 /// The per-candidate step budget of the tight tier: low enough to trip
 /// the symbolic partition search on the rescue family, high enough that
-/// tiny cones still finish (cf. the `repro portfolio` sweep window).
+/// tiny cones still finish.
 const TIGHT_STEPS: u64 = 512;
 
 /// The two budget tiers every circuit×backend pair sweeps.
 const TIERS: [(&str, u64); 2] = [("unlimited", u64::MAX), ("tight", TIGHT_STEPS)];
 
-/// The three decomposability backends.
-const BACKENDS: [DecBackend; 3] = [DecBackend::Bdd, DecBackend::Sat, DecBackend::Portfolio];
+/// The two decomposability backends.
+const BACKENDS: [DecBackend; 2] = [DecBackend::Bdd, DecBackend::Sat];
 
 /// One differential cell of the corpus grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +84,7 @@ pub struct CorpusRow {
     pub circuit: String,
     /// `"generated"` or `"aiger"`.
     pub source: String,
-    /// Decomposability backend (`bdd` / `sat` / `portfolio`).
+    /// Decomposability backend (`bdd` / `sat`).
     pub backend: String,
     /// Budget tier (`unlimited` / `tight`).
     pub budget: String,
@@ -438,9 +435,8 @@ fn run_cell(
     }
 }
 
-/// Fills [`CorpusRow::backend_agrees`]: at the unlimited tier all three
-/// backends must share one hash; at the tight tier `sat` and
-/// `portfolio` must share one (the pure-BDD ladder is exempt there).
+/// Fills [`CorpusRow::backend_agrees`]: at the unlimited tier both
+/// backends must share one hash; the tight tier is exempt.
 fn mark_agreement(rows: &mut [CorpusRow]) {
     let mut i = 0;
     while i < rows.len() {
@@ -450,19 +446,10 @@ fn mark_agreement(rows: &mut [CorpusRow]) {
         debug_assert!(group.windows(2).all(|w| {
             w[0].circuit == w[1].circuit && w[0].budget == w[1].budget
         }));
-        if group[0].budget == "unlimited" {
-            let h = group[0].opt_hash;
-            if group.iter().any(|r| r.opt_hash != h) {
-                for r in group.iter_mut() {
-                    r.backend_agrees = false;
-                }
-            }
-        } else {
-            let sat = group.iter().position(|r| r.backend == "sat").expect("sat cell");
-            let pf = group.iter().position(|r| r.backend == "portfolio").expect("portfolio cell");
-            if group[sat].opt_hash != group[pf].opt_hash {
-                group[sat].backend_agrees = false;
-                group[pf].backend_agrees = false;
+        let h = group[0].opt_hash;
+        if group[0].budget == "unlimited" && group.iter().any(|r| r.opt_hash != h) {
+            for r in group.iter_mut() {
+                r.backend_agrees = false;
             }
         }
         i += BACKENDS.len();

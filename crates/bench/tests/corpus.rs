@@ -51,5 +51,5 @@ fn quick_sweep_meets_the_acceptance_floor() {
     assert_eq!(report.non_reproducible(), 0);
     assert_eq!(report.red_rows(), 0);
     // Every circuit×tier×backend cell is present exactly once.
-    assert_eq!(report.rows.len(), report.circuits * 2 * 3);
+    assert_eq!(report.rows.len(), report.circuits * 2 * 2);
 }

@@ -60,7 +60,6 @@ pub mod greedy;
 mod interval;
 pub mod or_dec;
 pub mod param;
-pub mod portfolio;
 pub mod recursive;
 pub mod sat_dec;
 pub mod xor_dec;

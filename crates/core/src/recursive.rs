@@ -20,7 +20,6 @@
 //! Shannon expansion, which always removes one variable, so the recursion
 //! terminates with leaves that are literals or constants.
 
-use crate::portfolio::{self, PortfolioStats};
 use crate::{and_dec, choices::SupportPair, greedy, or_dec, sat_dec, xor_dec, DecKind, Interval};
 use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 
@@ -148,22 +147,18 @@ pub enum PartitionStrategy {
 /// Which engine backs the fixed-partition decomposability checks of the
 /// degradation ladder's *rescue rung* (see [`try_decompose`]).
 ///
-/// Both alternate backends are sound and complete for the fixed
-/// partitions the rescue tries, so the selected backend can change
-/// *which* budget-tripped checks are saved — never the verdict of a
-/// check that completes. `Sat` and `Portfolio` therefore produce
-/// byte-identical trees at equal budgets.
+/// The SAT check is sound and complete for the fixed partitions the
+/// rescue tries, so the backend only changes *which* budget-tripped
+/// searches are saved. Under a budget that never trips, both backends
+/// produce the same tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecBackend {
     /// BDD checks only: a budget trip degrades straight to greedy
-    /// growth (the pre-portfolio behaviour).
+    /// growth.
     Bdd,
     /// Retry a budget-tripped check on the Lee–Jiang–Hung CNF encoding
     /// ([`crate::sat_dec`]); exact intervals only.
     Sat,
-    /// Race the BDD check against the CNF check on two threads and take
-    /// the first sound verdict ([`crate::portfolio`]).
-    Portfolio,
 }
 
 impl std::fmt::Display for DecBackend {
@@ -171,7 +166,6 @@ impl std::fmt::Display for DecBackend {
         f.write_str(match self {
             DecBackend::Bdd => "bdd",
             DecBackend::Sat => "sat",
-            DecBackend::Portfolio => "portfolio",
         })
     }
 }
@@ -183,8 +177,7 @@ impl std::str::FromStr for DecBackend {
         match s {
             "bdd" => Ok(DecBackend::Bdd),
             "sat" => Ok(DecBackend::Sat),
-            "portfolio" => Ok(DecBackend::Portfolio),
-            _ => Err(format!("unknown decomposability backend `{s}` (bdd|sat|portfolio)")),
+            _ => Err(format!("unknown decomposability backend `{s}` (bdd|sat)")),
         }
     }
 }
@@ -234,11 +227,8 @@ pub struct Stats {
     /// partition search → greedy growth → Shannon expansion.
     pub fallbacks_taken: usize,
     /// Budget-tripped partition searches saved by the rescue rung (a
-    /// feasible fixed split proved by the SAT or portfolio backend).
+    /// feasible fixed split proved by the SAT backend).
     pub rescued_checks: usize,
-    /// Portfolio-race counters (all zero unless the backend is
-    /// [`DecBackend::Portfolio`]).
-    pub portfolio: PortfolioStats,
 }
 
 /// Recursively decomposes a consistent interval into a [`Tree`] whose
@@ -460,9 +450,9 @@ fn best_partition(
 /// 1. the symbolic `Bi` computation runs under a child governor holding
 ///    half the remaining step budget (so a blow-up there cannot starve
 ///    the fallbacks),
-/// 2. on exhaustion — with a non-default [`Options::backend`] — the
-///    *rescue rung* retries a deterministic fixed split on the SAT or
-///    portfolio backend instead of abandoning the partition,
+/// 2. on exhaustion — with the [`DecBackend::Sat`] backend — the
+///    *rescue rung* retries a deterministic fixed split on the SAT
+///    backend instead of abandoning the partition,
 /// 3. failing that, the step falls back to governed greedy growth,
 /// 4. on exhaustion again, to the Shannon expansion.
 ///
@@ -648,9 +638,9 @@ fn try_split_or(
 /// Governed [`best_partition`] — the degradation ladder lives here.
 ///
 /// Per kind: the symbolic search runs under a child governor holding half
-/// the remaining step budget; if it exhausts, the rescue rung (SAT or
-/// portfolio backend, when enabled) tries to prove a deterministic fixed
-/// split; failing that, governed greedy growth takes over; if that
+/// the remaining step budget; if it exhausts, the rescue rung (SAT
+/// backend, when enabled) tries to prove a deterministic fixed split;
+/// failing that, governed greedy growth takes over; if that
 /// exhausts too, the kind simply reports "no partition", which steers
 /// the caller into Shannon.
 fn try_best_partition(
@@ -689,7 +679,7 @@ fn try_best_partition(
                 Err(_) => {
                     stats.budget_exhausted_ops += 1;
                     stats.fallbacks_taken += 1;
-                    // Rung 2 (sat/portfolio backends): instead of
+                    // Rung 2 (sat backend): instead of
                     // abandoning the partition search, retry a
                     // deterministic fixed split on the alternate
                     // backend — SAT often dispatches exactly the cones
@@ -748,11 +738,10 @@ fn try_best_partition(
 /// sorted support, the split a block-structured cone actually has — on
 /// the backend selected by [`Options::backend`].
 ///
-/// Runs under a half-budget fork of `gov` and swallows its own
+/// Runs under a quarter-budget fork of `gov` and swallows its own
 /// exhaustion: `None` simply steers the ladder to the greedy rung. The
-/// candidate split and both backends' verdicts are deterministic, so
-/// whether a rescue succeeds is a pure function of the inputs and
-/// budgets — never of thread timing.
+/// candidate split and the SAT verdict are deterministic, so whether a
+/// rescue succeeds is a pure function of the inputs and budgets.
 fn try_rescue_pair(
     m: &mut Manager,
     kind: DecKind,
@@ -762,12 +751,8 @@ fn try_rescue_pair(
     stats: &mut Stats,
     gov: &ResourceGovernor,
 ) -> Option<SupportPair> {
-    if options.backend == DecBackend::Bdd || support.len() < 2 {
-        return None;
-    }
-    if options.backend == DecBackend::Sat && !iv.is_exact() {
-        // The CNF encoding only handles completely specified functions;
-        // the portfolio backend falls back to its BDD arm instead.
+    // The CNF encoding only handles completely specified functions.
+    if options.backend == DecBackend::Bdd || support.len() < 2 || !iv.is_exact() {
         return None;
     }
     let mid = support.len() / 2;
@@ -776,40 +761,13 @@ fn try_rescue_pair(
     // Vacuous sets are the complements: g1 must not read the g2 block
     // and vice versa.
     //
-    // Quarter-budget fork, not the ladder's usual half: the portfolio
-    // race *prepays* this fork's entire limit to the ancestors whatever
-    // its arms consume, and a winning rescue still has to fund the
-    // structural build of both halves afterwards. A half-size prepay
-    // starves that build at exactly the budgets where the rescue fires.
+    // Quarter-budget fork, not the ladder's usual half: a winning rescue
+    // still has to fund the structural build of both halves afterwards,
+    // and that build draws on the same parent budget the fork charges.
     let sub = gov.fork_steps(gov.remaining_steps() / 4);
-    let feasible = match options.backend {
-        DecBackend::Bdd => unreachable!("handled above"),
-        DecBackend::Sat => sat_dec::try_decomposable(
-            m,
-            kind,
-            iv,
-            support,
-            &g2,
-            &g1,
-            options.sat_conflicts,
-            &sub,
-        )
-        .map(|(dec, _)| dec),
-        DecBackend::Portfolio => portfolio::try_decomposable(
-            m,
-            kind,
-            iv,
-            support,
-            &g2,
-            &g1,
-            options.sat_conflicts,
-            &sub,
-        )
-        .map(|(dec, race)| {
-            stats.portfolio.absorb(&race);
-            dec
-        }),
-    };
+    let feasible =
+        sat_dec::try_decomposable(m, kind, iv, support, &g2, &g1, options.sat_conflicts, &sub)
+            .map(|(dec, _)| dec);
     match feasible {
         Ok(true) => Some(SupportPair { g1_vars: g1, g2_vars: g2 }),
         Ok(false) => None,
@@ -1082,52 +1040,18 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_rescue_is_deterministic_across_reruns() {
-        // The race prepays its budget, so step accounting — and with it
-        // the produced tree — is a pure function of the limits, never of
-        // which arm wins. Re-running must reproduce the tree exactly.
-        let mut budgets = vec![64u64];
-        while *budgets.last().unwrap() < 1 << 16 {
-            let b = *budgets.last().unwrap();
-            budgets.push(b + b / 4);
-        }
-        for &budget in &budgets {
-            let opts = rescue_options(DecBackend::Portfolio);
-            let run = || {
-                let mut m = Manager::new();
-                let iv = two_block_function(&mut m);
-                let gov = ResourceGovernor::unlimited().with_step_limit(budget);
-                try_decompose(&mut m, &iv, &opts, &gov)
-                    .map(|(tree, stats)| (tree, stats.rescued_checks))
-            };
-            let first = run();
-            let second = run();
-            match (&first, &second) {
-                (Ok((t1, r1)), Ok((t2, r2))) => {
-                    assert_eq!(t1, t2, "budget {budget}: race winner leaked into the tree");
-                    assert_eq!(r1, r2, "budget {budget}: rescue count must be deterministic");
-                }
-                (Err(e1), Err(e2)) => assert_eq!(e1, e2, "budget {budget}"),
-                _ => panic!("budget {budget}: one run succeeded, the other failed"),
-            }
-        }
-    }
-
-    #[test]
     fn unlimited_budgets_make_all_backends_identical() {
         let gov = ResourceGovernor::unlimited();
         let mut trees = Vec::new();
-        for backend in [DecBackend::Bdd, DecBackend::Sat, DecBackend::Portfolio] {
+        for backend in [DecBackend::Bdd, DecBackend::Sat] {
             let mut m = Manager::new();
             let iv = two_block_function(&mut m);
             let opts = Options { backend, ..Default::default() };
             let (tree, stats) = try_decompose(&mut m, &iv, &opts, &gov).expect("unlimited");
             assert_eq!(stats.rescued_checks, 0, "{backend}: no budget trip, no rescue");
-            assert_eq!(stats.portfolio, PortfolioStats::default());
             trees.push(tree);
         }
         assert_eq!(trees[0], trees[1], "sat backend is inert without budget trips");
-        assert_eq!(trees[0], trees[2], "portfolio backend is inert without budget trips");
     }
 
     #[test]

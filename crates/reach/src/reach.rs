@@ -37,10 +37,7 @@ pub struct ReachabilityOptions {
     pub jobs: usize,
     /// BDD kernel knobs (computed-table size, automatic garbage
     /// collection, automatic reordering) applied to every per-partition
-    /// manager. [`KernelConfig::shared_workers`] at `2+` additionally
-    /// runs each partition's large image/apply calls on the shared-memory
-    /// concurrent kernel; canonicity keeps the fixpoints — and hence the
-    /// reachable sets — identical to the single-threaded analysis.
+    /// manager.
     pub kernel: KernelConfig,
     /// Node ceiling per transition-relation cluster for the clustered
     /// image engine ([`symbi_bdd::image`]); `0` disables clustering and

@@ -23,7 +23,7 @@ use crate::share::TreeEmitter;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
-use symbi_bdd::{FaultSite, KernelConfig, Manager, ResourceExhausted, ResourceGovernor, VarId};
+use symbi_bdd::{FaultSite, Manager, ResourceExhausted, ResourceGovernor, VarId};
 use symbi_core::{recursive, Interval};
 use symbi_netlist::clean::clean;
 use symbi_netlist::cone::ConeExtractor;
@@ -99,13 +99,6 @@ pub struct SynthesisOptions {
     /// budgeted parallel runs stay correct but may skip different
     /// candidates than sequential ones.
     pub jobs: usize,
-    /// Kernel tuning for the flow's BDD managers (the collapse/decompose
-    /// manager and each parallel worker's private manager). Setting
-    /// [`KernelConfig::shared_workers`] to `2+` turns on the shared-memory
-    /// concurrent apply inside each manager; results stay canonical, so
-    /// the emitted netlist is unchanged under the default unlimited
-    /// budget.
-    pub kernel: KernelConfig,
     /// Run the fraig-style SAT-sweeping pre-pass
     /// ([`symbi_netlist::sweep`]) before decomposition: functionally
     /// identical nodes merge so the flow never budgets the same function
@@ -134,7 +127,6 @@ impl Default for SynthesisOptions {
             budget: BudgetOptions::default(),
             validate_frames: None,
             jobs: 1,
-            kernel: KernelConfig::default(),
             sweep: false,
             sweep_rounds: SweepOptions::default().rounds,
             sweep_conflicts: SweepOptions::default().conflict_budget,
@@ -328,7 +320,7 @@ fn optimize_sequential(
     // One manager for the whole pass: leaves (PIs + latches) get fixed
     // variables up front, ordered by the fanin-DFS heuristic so cone BDDs
     // stay small regardless of declaration order.
-    let mut m = Manager::with_kernel_config(options.kernel);
+    let mut m = Manager::new();
     let mut extractor = ConeExtractor::with_dfs_layout(&cleaned, &mut m);
     let var_of_latch: HashMap<SignalId, VarId> = cleaned
         .latches()
@@ -426,7 +418,6 @@ fn optimize_sequential(
                     report.steps.budget_exhausted_ops += stats.budget_exhausted_ops;
                     report.steps.fallbacks_taken += stats.fallbacks_taken;
                     report.steps.rescued_checks += stats.rescued_checks;
-                    report.steps.portfolio.absorb(&stats.portfolio);
                     report.budget_exhausted_ops += stats.budget_exhausted_ops + dropped;
                     report.fallbacks_taken += stats.fallbacks_taken;
                     if options.accept_only_improvements

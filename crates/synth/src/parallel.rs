@@ -209,7 +209,6 @@ pub(crate) fn optimize_parallel(
                     report.steps.budget_exhausted_ops += stats.budget_exhausted_ops;
                     report.steps.fallbacks_taken += stats.fallbacks_taken;
                     report.steps.rescued_checks += stats.rescued_checks;
-                    report.steps.portfolio.absorb(&stats.portfolio);
                     report.budget_exhausted_ops += stats.budget_exhausted_ops + dropped;
                     report.fallbacks_taken += stats.fallbacks_taken;
                     if options.accept_only_improvements
@@ -277,7 +276,7 @@ fn decompose_candidate(
     options: &SynthesisOptions,
     gov: &ResourceGovernor,
 ) -> Decomposition {
-    let mut m = Manager::with_kernel_config(options.kernel);
+    let mut m = Manager::new();
     let mut extractor = ConeExtractor::with_dfs_layout(cleaned, &mut m);
     for &cut in &cut_points[..task.cuts_prefix] {
         let v = VarId(m.num_vars() as u32);

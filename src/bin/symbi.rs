@@ -5,9 +5,9 @@
 //! symbi convert   <in> <out>
 //! symbi optimize  <in> [-o <out>] [--no-states] [--max-support N] [--no-xor]
 //!                 [--sweep] [--sweep-rounds N] [--sweep-conflicts N]
-//!                 [--dec-backend bdd|sat|portfolio] [--sat-conflicts N]
+//!                 [--dec-backend bdd|sat] [--sat-conflicts N]
 //!                 [--budget-steps N] [--budget-nodes N] [--timeout-ms N]
-//!                 [--jobs N] [--shared-workers N] [--cache-bits N]
+//!                 [--jobs N] [--cache-bits N]
 //!                 [--no-auto-gc] [--auto-reorder] [--cluster-limit N]
 //!                 [--fault-plan site:occurrence:kind ...] [--fault-seed N]
 //! symbi check     <a> <b> [--frames N] [--exact]
@@ -22,13 +22,6 @@
 //! on `N` worker threads (`0` = all cores); the output netlist is
 //! byte-identical to a single-threaded run.
 //!
-//! `--shared-workers N` turns on the shared-memory concurrent BDD
-//! kernel *inside* each manager: large apply/ITE/quantify calls run on
-//! `N` work-stealing threads over one lock-free unique table. `0` (the
-//! default) keeps the single-threaded kernel. Canonical hash-consing
-//! makes the results identical either way, so this composes freely
-//! with `--jobs` and still emits a byte-identical netlist.
-//!
 //! `--sweep` turns on the FRAIG-style SAT-sweeping pre-pass: seeded
 //! word-parallel simulation groups gates into candidate equivalence
 //! classes (up to negation) and one persistent incremental CDCL solver
@@ -41,9 +34,7 @@
 //! `--dec-backend` arms the decomposability *rescue rung*: when the
 //! symbolic partition search exhausts its budget, `sat` proves a fixed
 //! midpoint split with the CDCL solver before the ladder degrades to
-//! greedy growth, and `portfolio` races a budgeted BDD check against the
-//! SAT check on two threads — the first sound verdict wins and the loser
-//! is cancelled. `bdd` (the default) skips the rung. `--sat-conflicts N`
+//! greedy growth; `bdd` (the default) skips the rung. `--sat-conflicts N`
 //! caps solver effort per check.
 //!
 //! The BDD kernel knobs tune the reachability managers: `--cache-bits N`
@@ -61,6 +52,9 @@
 //! `--fault-seed N` tags the plan for replayable sweeps. The run still
 //! finishes with a correct netlist (degraded cones keep their original
 //! logic) and reports how many faults actually fired.
+//!
+//! `optimize` rejects any flag it does not know (exit 1), so a typo
+//! never runs silently with the default.
 //!
 //! `decompose --dc` widens the signal's specification with
 //! unreachable-state don't cares before computing the choices — the
@@ -113,9 +107,9 @@ usage:
   symbi convert   <in> <out>
   symbi optimize  <in> [-o <out>] [--no-states] [--max-support N] [--no-xor]
                   [--sweep] [--sweep-rounds N] [--sweep-conflicts N]
-                  [--dec-backend bdd|sat|portfolio] [--sat-conflicts N]
+                  [--dec-backend bdd|sat] [--sat-conflicts N]
                   [--budget-steps N] [--budget-nodes N] [--timeout-ms N]
-                  [--jobs N] [--shared-workers N] [--cache-bits N]
+                  [--jobs N] [--cache-bits N]
                   [--no-auto-gc] [--auto-reorder] [--cluster-limit N]
                   [--fault-plan site:occurrence:kind ...] [--fault-seed N]
   symbi check     <a> <b> [--frames N] [--exact]
@@ -155,6 +149,50 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, Str
             None => Err(format!("{name} requires a value")),
         },
     }
+}
+
+/// `optimize` flags that take no value.
+const OPTIMIZE_SWITCHES: &[&str] = &[
+    "--no-states",
+    "--no-xor",
+    "--sweep",
+    "--no-auto-gc",
+    "--auto-gc",
+    "--auto-reorder",
+];
+
+/// `optimize` flags followed by exactly one value.
+const OPTIMIZE_VALUED: &[&str] = &[
+    "-o",
+    "--max-support",
+    "--sweep-rounds",
+    "--sweep-conflicts",
+    "--dec-backend",
+    "--sat-conflicts",
+    "--budget-steps",
+    "--budget-nodes",
+    "--timeout-ms",
+    "--jobs",
+    "--cache-bits",
+    "--cluster-limit",
+    "--fault-plan",
+    "--fault-seed",
+];
+
+/// Rejects every `optimize` argument after the input file that is not a
+/// known flag (with its value), so a typo fails instead of being ignored.
+fn check_optimize_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if OPTIMIZE_VALUED.contains(&a.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{a} requires a value"));
+            }
+        } else if !OPTIMIZE_SWITCHES.contains(&a.as_str()) {
+            return Err(format!("unknown option `{a}`\n{USAGE}"));
+        }
+    }
+    Ok(())
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -197,6 +235,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
 
 fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("optimize: missing file")?;
+    check_optimize_flags(args)?;
     let n = load(path)?;
     let mut options = SynthesisOptions::default();
     if args.iter().any(|a| a == "--no-states") {
@@ -244,12 +283,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
             j => j,
         };
     }
-    if let Some(v) = flag_value(args, "--shared-workers")? {
-        options.kernel.shared_workers =
-            v.parse().map_err(|e| format!("--shared-workers: {e}"))?;
-    }
     if let Some(reach) = options.reach.as_mut() {
-        reach.kernel.shared_workers = options.kernel.shared_workers;
         if let Some(v) = flag_value(args, "--cache-bits")? {
             reach.kernel.cache_bits = v.parse().map_err(|e| format!("--cache-bits: {e}"))?;
         }
@@ -328,17 +362,10 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
             report.candidates_skipped, report.budget_exhausted_ops, report.fallbacks_taken
         );
     }
-    if report.steps.rescued_checks > 0 || report.steps.portfolio.races > 0 {
-        let p = &report.steps.portfolio;
+    if report.steps.rescued_checks > 0 {
         println!(
-            "rescue rung: {} partition(s) saved; portfolio races {} \
-             (bdd wins {}, sat wins {}, cancels {}, {:.1} ms)",
-            report.steps.rescued_checks,
-            p.races,
-            p.bdd_wins,
-            p.sat_wins,
-            p.cancels,
-            p.wall_nanos as f64 / 1e6
+            "rescue rung: {} partition(s) saved",
+            report.steps.rescued_checks
         );
     }
     println!(

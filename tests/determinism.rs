@@ -102,57 +102,6 @@ fn clustered_reachability_is_deterministic_across_jobs() {
 }
 
 #[test]
-fn shared_kernel_sweep_is_byte_identical() {
-    // The shared-memory concurrent kernel hash-conses into the same
-    // unique table as the sequential path, so every result it returns is
-    // the canonical node for its function — a `shared_workers` sweep must
-    // therefore be invisible downstream: identical netlist bytes and
-    // field-for-field identical reports at every worker count, including
-    // the `0` default (which never touches the concurrent code at all).
-    // `SYMBI_SHARED_WORKERS` (default "0,2,4") lets CI sweep wider
-    // matrices over the same binary.
-    use symbi::bdd::KernelConfig;
-    let counts: Vec<usize> = std::env::var("SYMBI_SHARED_WORKERS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![0, 2, 4]);
-    let circuits = [
-        iscas_like::by_name("s344").expect("known circuit"),
-        industrial::by_name("seq6").expect("known block"),
-    ];
-    for n in &circuits {
-        let mut reference: Option<(String, _)> = None;
-        for &w in &counts {
-            let kernel = KernelConfig { shared_workers: w, ..KernelConfig::default() };
-            let mut options = SynthesisOptions { kernel, ..Default::default() };
-            if let Some(reach) = options.reach.as_mut() {
-                reach.kernel.shared_workers = w;
-            }
-            let (net, rep) = optimize(n, &options);
-            let text = bench::write(&net);
-            match &reference {
-                None => reference = Some((text, rep)),
-                Some((ref_text, ref_rep)) => {
-                    assert_eq!(
-                        ref_text,
-                        &text,
-                        "shared_workers={w} changed the netlist on `{}`",
-                        n.name()
-                    );
-                    assert_eq!(
-                        ref_rep,
-                        &rep,
-                        "shared_workers={w} changed the report on `{}`",
-                        n.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn backend_sweep_is_identical_at_default_budgets() {
     // Under the default unlimited budget the rescue rung never engages,
     // so the decomposability backend must be invisible: every backend ×
@@ -160,13 +109,12 @@ fn backend_sweep_is_identical_at_default_budgets() {
     use symbi::core::recursive::DecBackend;
     let n = iscas_like::by_name("s344").expect("known circuit");
     let mut reference: Option<String> = None;
-    for backend in [DecBackend::Bdd, DecBackend::Sat, DecBackend::Portfolio] {
+    for backend in [DecBackend::Bdd, DecBackend::Sat] {
         let mut options = SynthesisOptions::default();
         options.decompose.backend = backend;
         assert_deterministic(&n, &options);
         let (net, report) = optimize(&n, &options);
         assert_eq!(report.steps.rescued_checks, 0, "{backend}: no budget trip, no rescue");
-        assert_eq!(report.steps.portfolio.races, 0, "{backend}: no rescue, no race");
         let text = bench::write(&net);
         match &reference {
             None => reference = Some(text),
@@ -194,38 +142,38 @@ fn two_block_cones(blocks: usize) -> Netlist {
 }
 
 #[test]
-fn portfolio_rescue_netlist_is_independent_of_the_race_winner() {
-    // Tight budgets engage the portfolio race on the rescue rung. The
-    // race prepays its step budget, so the emitted netlist is a pure
-    // function of the limits — never of which arm wins or how fast the
-    // loser drains. Every configuration, re-run, must reproduce its
-    // bytes exactly; the budget list brackets the family's rescue
-    // window so at least one configuration really races.
+fn sat_rescue_netlist_is_reproducible_across_budgets_and_jobs() {
+    // Tight budgets engage the SAT rescue rung. The rescue's candidate
+    // split, its verdict and its step accounting are all deterministic,
+    // so the emitted netlist is a pure function of the limits: every
+    // configuration, re-run, must reproduce its bytes exactly. The
+    // budget list brackets the family's rescue window so at least one
+    // configuration really rescues.
     use symbi::core::recursive::DecBackend;
     let n = two_block_cones(2);
     let jobs = par_jobs();
-    let mut raced = false;
+    let mut rescued = false;
     for budget in [1024u64, 1797, 2246, 2807, 3508, 4385, 8192] {
         for j in [1, jobs] {
             let mut options = SynthesisOptions { reach: None, jobs: j, ..Default::default() };
             options.decompose.use_xor = false;
-            options.decompose.backend = DecBackend::Portfolio;
+            options.decompose.backend = DecBackend::Sat;
             options.budget.candidate_steps = budget;
             let (net_a, rep_a) = optimize(&n, &options);
             let (net_b, rep_b) = optimize(&n, &options);
             assert_eq!(
                 bench::write(&net_a),
                 bench::write(&net_b),
-                "budget {budget} jobs {j}: race winner leaked into the netlist"
+                "budget {budget} jobs {j}: the rerun changed the netlist"
             );
             assert_eq!(
                 rep_a.steps.rescued_checks, rep_b.steps.rescued_checks,
                 "budget {budget} jobs {j}: rescue count must be reproducible"
             );
-            raced |= rep_a.steps.portfolio.races > 0;
+            rescued |= rep_a.steps.rescued_checks > 0;
         }
     }
-    assert!(raced, "no budget engaged the race — the oracle exercised nothing");
+    assert!(rescued, "no budget engaged the rescue rung — the oracle exercised nothing");
 }
 
 /// Seeded random sequential netlist: gates only reference earlier
