@@ -1,33 +1,44 @@
-//! Budgeted twins of the recursive `Manager` operations.
+//! The governed bodies of the recursive `Manager` operations.
 //!
-//! Each `try_*` operation computes exactly the same function as its
-//! unbudgeted counterpart but consults a [`ResourceGovernor`] at every
-//! *cache-miss* recursion step — the points where new work (and new
-//! nodes) can be created — and unwinds with [`ResourceExhausted`] the
-//! moment a limit trips. Cache hits and terminal shortcuts are free:
-//! an operation whose result still sits in the computed table succeeds
-//! even under a zero budget, which is exactly the CUDD `*Limit`
-//! contract. The computed table is lossy (direct-mapped, bounded), so
-//! "still sits" means "not yet overwritten by a colliding entry" — the
-//! most recent top-level result for a key always survives, older ones
-//! may have to be recomputed under budget.
+//! Each operation has one implementation, the `try_*` form here. It
+//! consults a [`ResourceGovernor`] at every *cache-miss* recursion step
+//! — the points where new work (and new nodes) can be created — and
+//! unwinds with [`ResourceExhausted`] the moment a limit trips. Cache
+//! hits and terminal shortcuts are free: an operation whose result
+//! still sits in the computed table succeeds even under a zero budget,
+//! which is exactly the CUDD `*Limit` contract. The computed table is
+//! lossy (direct-mapped, bounded), so "still sits" means "not yet
+//! overwritten by a colliding entry" — the most recent top-level result
+//! for a key always survives, older ones may have to be recomputed
+//! under budget.
 //!
-//! The twins share the computed table (and its keys) with the
-//! unbudgeted operations, so:
+//! The plain API (`Manager::and`, `exists`, `restrict`, …) is the same
+//! body run under [`UNMETERED`], a governor with no limit to trip, so:
 //!
-//! - by BDD canonicity, a successful `try_*` returns the *identical*
-//!   [`NodeId`] the unbudgeted operation would return, and
-//! - work done before an exhaustion is kept — a retry or fallback
-//!   starts from the warm cache rather than from scratch.
+//! - a successful `try_*` returns the [`NodeId`] the plain operation
+//!   returns, because it is the same code over the same computed table,
+//!   and
+//! - work done before an exhaustion is kept — a retry, a fallback or a
+//!   later plain call starts from the warm cache rather than from
+//!   scratch.
 //!
 //! Partial results of an exhausted operation are ordinary nodes and
 //! cache entries; they are sound (every cached entry is a fully
 //! computed sub-result) and simply become reusable warm-up.
 
+use std::sync::LazyLock;
+
 use crate::compose::SubstitutionId;
 use crate::governor::{ResourceExhausted, ResourceGovernor};
 use crate::manager::Op;
 use crate::{Manager, NodeId, VarId};
+
+/// The governor of the plain `Manager` API: no step, node or time
+/// limit, no fault plan, and a cancel flag no caller can reach, so an
+/// operation run under it cannot fail. One shared static, so a plain
+/// call allocates no governor.
+pub(crate) static UNMETERED: LazyLock<ResourceGovernor> =
+    LazyLock::new(ResourceGovernor::unlimited);
 
 impl Manager {
     /// Budgeted [`Manager::not`].
@@ -176,6 +187,7 @@ impl Manager {
         h: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
+        // Terminal cases.
         if f.is_true() {
             return Ok(g);
         }
@@ -278,7 +290,8 @@ impl Manager {
         self.try_reduce_many(fs.into_iter().collect(), NodeId::FALSE, gov, Self::try_xor)
     }
 
-    /// Balanced reduction, mirroring the unbudgeted `reduce_many`.
+    /// Balanced pairwise reduction of `ops` under `op`; `empty` for no
+    /// operands.
     fn try_reduce_many(
         &mut self,
         mut ops: Vec<NodeId>,
@@ -361,6 +374,7 @@ impl Manager {
             return Ok(f);
         }
         debug_assert!(!cube.is_false(), "quantification cube must be a positive cube");
+        // Skip cube variables above f's top variable: they do not occur in f.
         let mut cube = cube;
         let f_level = self.level(f);
         while !cube.is_true() && self.level(cube) < f_level {
@@ -426,6 +440,7 @@ impl Manager {
         }
         gov.checkpoint(self.live_node_count())?;
         let top = self.level(a).min(self.level(b));
+        // Skip cube variables above the top of both operands.
         let mut cube_here = cube;
         while !cube_here.is_true() && self.level(cube_here) < top {
             cube_here = self.branches(cube_here).1;
@@ -460,6 +475,7 @@ impl Manager {
         gov: &ResourceGovernor,
     ) -> Result<NodeId, ResourceExhausted> {
         if f.is_terminal() || self.level(f) > self.level_of(v) as u32 {
+            // Ordered: v cannot occur below a deeper top variable.
             return Ok(f);
         }
         let key = (Op::Compose, f.0, v.0, g.0);
@@ -550,6 +566,8 @@ impl Manager {
         let lf = self.level(f);
         let lc = self.level(care);
         let r = if lc < lf {
+            // The care set branches on a variable f ignores: merge the
+            // branches (f must agree wherever *either* side cares).
             let (c0, c1) = self.branches(care);
             let merged = self.try_or(c0, c1, gov)?;
             self.try_restrict_rec(f, merged, gov)?
@@ -608,10 +626,16 @@ impl Manager {
         let (c0, c1) = if lc == top { self.branches(care) } else { (care, care) };
         let (f0, f1) = if lf == top { self.branches(f) } else { (f, f) };
         let r = if c0.is_false() {
+            // Every care point sets the top variable: points with it
+            // clear are mapped across, so the variable test disappears.
             self.try_constrain_rec(f1, c1, gov)?
         } else if c1.is_false() {
             self.try_constrain_rec(f0, c0, gov)?
         } else {
+            // Both care branches are non-empty: branch on the top
+            // variable even when f ignores it (this is where the result
+            // may gain support from `care` — the cost of keeping the
+            // conjunction/quantification identities exact).
             let lo = self.try_constrain_rec(f0, c0, gov)?;
             let hi = self.try_constrain_rec(f1, c1, gov)?;
             let var = self.var_at_level(top);
@@ -647,25 +671,6 @@ mod tests {
             f = m.xor(f, t);
         }
         f
-    }
-
-    #[test]
-    fn budgeted_matches_unbudgeted_when_unlimited() {
-        let gov = ResourceGovernor::unlimited();
-        let mut m = Manager::new();
-        let vars = m.new_vars(10);
-        let f = ripple_xor_and(&mut m, &vars[..5]);
-        let g = ripple_xor_and(&mut m, &vars[5..]);
-        let budgeted = m.try_and(f, g, &gov).unwrap();
-        assert_eq!(budgeted, m.and(f, g));
-        let budgeted = m.try_ite(f, g, vars[0], &gov).unwrap();
-        assert_eq!(budgeted, m.ite(f, g, vars[0]));
-        let qs = [VarId(0), VarId(3), VarId(7)];
-        let budgeted = m.try_exists(f, &qs, &gov).unwrap();
-        assert_eq!(budgeted, m.exists(f, &qs));
-        let cube = m.cube(&qs);
-        let budgeted = m.try_and_exists(f, g, cube, &gov).unwrap();
-        assert_eq!(budgeted, m.and_exists(f, g, cube));
     }
 
     #[test]
@@ -719,19 +724,6 @@ mod tests {
         let ceiling = m.stats().nodes; // already at the ceiling: any growth trips
         let gov = ResourceGovernor::unlimited().with_node_limit(ceiling);
         assert_eq!(m.try_xor(f, g, &gov), Err(ResourceExhausted::Nodes));
-    }
-
-    #[test]
-    fn restrict_and_constrain_twins_agree() {
-        let gov = ResourceGovernor::unlimited();
-        let mut m = Manager::new();
-        let vars = m.new_vars(8);
-        let f = ripple_xor_and(&mut m, &vars[..5]);
-        let care = ripple_xor_and(&mut m, &vars[3..]);
-        let budgeted = m.try_restrict(f, care, &gov).unwrap();
-        assert_eq!(budgeted, m.restrict(f, care));
-        let budgeted = m.try_constrain(f, care, &gov).unwrap();
-        assert_eq!(budgeted, m.constrain(f, care));
     }
 
     #[test]
@@ -790,19 +782,5 @@ mod tests {
         // very first cache-miss checkpoint unwinds with zero new work.
         assert_eq!(gov.steps_used(), 0, "cancel must precede step charging");
         assert_eq!(m.live_node_count(), before, "no nodes created after cancel");
-    }
-
-    #[test]
-    fn compose_and_rename_twins_agree() {
-        let gov = ResourceGovernor::unlimited();
-        let mut m = Manager::new();
-        let vars = m.new_vars(8);
-        let f = ripple_xor_and(&mut m, &vars[..4]);
-        let g = m.or(vars[5], vars[6]);
-        let budgeted = m.try_compose(f, VarId(2), g, &gov).unwrap();
-        assert_eq!(budgeted, m.compose(f, VarId(2), g));
-        let pairs = [(VarId(0), VarId(4)), (VarId(1), VarId(5))];
-        let budgeted = m.try_rename(f, &pairs, &gov).unwrap();
-        assert_eq!(budgeted, m.rename(f, &pairs));
     }
 }

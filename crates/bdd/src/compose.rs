@@ -1,8 +1,8 @@
 //! Variable substitution: single-variable composition and simultaneous
 //! vector composition.
 
+use crate::budgeted::UNMETERED;
 use crate::hash::FxHashMap;
-use crate::manager::Op;
 use crate::{Manager, NodeId, VarId};
 
 /// Handle to a substitution table registered with
@@ -14,25 +14,8 @@ impl Manager {
     /// Substitutes function `g` for variable `v` in `f`:
     /// `f[v ← g] = g·f|v=1 + ¬g·f|v=0`.
     pub fn compose(&mut self, f: NodeId, v: VarId, g: NodeId) -> NodeId {
-        if f.is_terminal() || self.level(f) > self.level_of(v) as u32 {
-            // Ordered: v cannot occur below a deeper top variable.
-            return f;
-        }
-        let key = (Op::Compose, f.0, v.0, g.0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let node = self.node(f);
-        let r = if node.var == v.0 {
-            self.ite(g, node.hi, node.lo)
-        } else {
-            let lo = self.compose(node.lo, v, g);
-            let hi = self.compose(node.hi, v, g);
-            let top = self.var(VarId(node.var));
-            self.ite(top, hi, lo)
-        };
-        self.cache.insert(key, r);
-        r
+        self.try_compose(f, v, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Registers a simultaneous substitution `{vᵢ ← gᵢ}` for use with
@@ -56,33 +39,16 @@ impl Manager {
     /// which is what the parameterized forms of the paper require
     /// (e.g. `xᵢ ← ITE(cᵢ, xᵢ, yᵢ)` mentions `xᵢ` on the right-hand side).
     pub fn vector_compose(&mut self, f: NodeId, subst: SubstitutionId) -> NodeId {
-        if f.is_terminal() {
-            return f;
-        }
-        let key = (Op::VCompose, f.0, subst.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let node = self.node(f);
-        let lo = self.vector_compose(node.lo, subst);
-        let hi = self.vector_compose(node.hi, subst);
-        let replacement = match self.substitutions[subst.0 as usize].get(&node.var) {
-            Some(&g) => g,
-            None => self.var(VarId(node.var)),
-        };
-        let r = self.ite(replacement, hi, lo);
-        self.cache.insert(key, r);
-        r
+        self.try_vector_compose(f, subst, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Renames variables according to `pairs` (a special case of vector
     /// composition where every target is a variable). Convenience for
     /// present-state/next-state swaps in reachability analysis.
     pub fn rename(&mut self, f: NodeId, pairs: &[(VarId, VarId)]) -> NodeId {
-        let subst: Vec<(VarId, NodeId)> =
-            pairs.iter().map(|&(v, w)| (v, self.var(w))).collect();
-        let id = self.register_substitution(&subst);
-        self.vector_compose(f, id)
+        self.try_rename(f, pairs, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 }
 

@@ -19,7 +19,7 @@
 //! `constrain` when the algebraic identities matter (image
 //! computation, frontier-simplified fixpoints).
 
-use crate::manager::Op;
+use crate::budgeted::UNMETERED;
 use crate::{Manager, NodeId};
 
 impl Manager {
@@ -31,47 +31,8 @@ impl Manager {
     /// `constrain(f, 0)` is defined as `f`, mirroring
     /// [`Manager::restrict`].
     pub fn constrain(&mut self, f: NodeId, care: NodeId) -> NodeId {
-        if care.is_false() {
-            return f;
-        }
-        self.constrain_rec(f, care)
-    }
-
-    fn constrain_rec(&mut self, f: NodeId, care: NodeId) -> NodeId {
-        if f.is_terminal() || care.is_true() {
-            return f;
-        }
-        debug_assert!(!care.is_false(), "inner care set cannot be empty");
-        if f == care {
-            return NodeId::TRUE;
-        }
-        let key = (Op::Constrain, f.0, care.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let lf = self.level(f);
-        let lc = self.level(care);
-        let top = lf.min(lc);
-        let (c0, c1) = if lc == top { self.branches(care) } else { (care, care) };
-        let (f0, f1) = if lf == top { self.branches(f) } else { (f, f) };
-        let r = if c0.is_false() {
-            // Every care point sets the top variable: points with it
-            // clear are mapped across, so the variable test disappears.
-            self.constrain_rec(f1, c1)
-        } else if c1.is_false() {
-            self.constrain_rec(f0, c0)
-        } else {
-            // Both care branches are non-empty: branch on the top
-            // variable even when f ignores it (this is where the result
-            // may gain support from `care` — the cost of keeping the
-            // conjunction/quantification identities exact).
-            let lo = self.constrain_rec(f0, c0);
-            let hi = self.constrain_rec(f1, c1);
-            let var = self.var_at_level(top);
-            self.mk(var, lo, hi)
-        };
-        self.cache.insert(key, r);
-        r
+        self.try_constrain(f, care, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 }
 

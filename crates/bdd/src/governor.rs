@@ -17,10 +17,11 @@
 //!
 //! Budgeted operations (`Manager::try_and`, `try_ite`, …) call
 //! [`ResourceGovernor::checkpoint`] once per cache-miss step and unwind
-//! with [`ResourceExhausted`] the moment any limit trips. Because the
-//! budgeted twins share the computed table with their unbudgeted
-//! counterparts, work done before exhaustion is not wasted: a retry (or
-//! a fallback on a smaller problem) starts from the warm cache.
+//! with [`ResourceExhausted`] the moment any limit trips. The plain
+//! operations (`Manager::and`, …) are the same code under an unmetered
+//! governor, over the same computed table, so work done before
+//! exhaustion is not wasted: a retry (or a fallback on a smaller
+//! problem) starts from the warm cache.
 //!
 //! # Sub-budgets
 //!
@@ -96,7 +97,7 @@ pub const MAX_DEADLINE_OVERSHOOT_STEPS: u64 = DEADLINE_CHECK_PERIOD;
 
 /// A named fault-injection site in the governed stack.
 ///
-/// Every budgeted `try_*` twin and every GC/reorder safe point crosses
+/// Every governed `try_*` operation and every GC/reorder safe point crosses
 /// exactly one of these sites. A [`FaultPlan`] counts crossings per site
 /// and can fire a fault at the Nth crossing, so a chaos sweep can
 /// enumerate `(site, occurrence)` cells exhaustively and reproducibly.

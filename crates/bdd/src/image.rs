@@ -28,8 +28,8 @@
 //! (BDD sizes and sorted supports in a private manager), so an engine
 //! built from the same inputs behaves identically regardless of how
 //! many worker threads surround it — the determinism contract of the
-//! parallel flows. All heavy lifting goes through the budgeted `try_*`
-//! twins, so a tripped governor unwinds mid-image.
+//! parallel flows. All heavy lifting goes through the governed `try_*`
+//! operations, so a tripped governor unwinds mid-image.
 
 use crate::governor::{FaultSite, ResourceExhausted, ResourceGovernor};
 use crate::{Manager, NodeId, VarId};
@@ -617,7 +617,7 @@ mod tests {
         let cancelled = ResourceGovernor::unlimited();
         cancelled.cancel();
         // Build in a cold manager: cache hits are free in the try_*
-        // twins, so only a cold build is forced through checkpoints.
+        // operations, so only a cold build is forced through checkpoints.
         let mut cold = Manager::new();
         let (cold_conjuncts, cold_quantify, _) = fixture(&mut cold, 5, 2);
         assert_eq!(

@@ -18,6 +18,7 @@
 //!   adjacent-level swaps with a growth-abort bound
 //!   ([`Manager::sift_in_place`]).
 
+use crate::budgeted::UNMETERED;
 use crate::governor::{FaultSite, ResourceExhausted, ResourceGovernor};
 use crate::hash::FxHashMap;
 use crate::node::{Node, TERMINAL_LEVEL};
@@ -811,217 +812,81 @@ impl Manager {
 
     /// Negation.
     pub fn not(&mut self, f: NodeId) -> NodeId {
-        match f {
-            NodeId::FALSE => return NodeId::TRUE,
-            NodeId::TRUE => return NodeId::FALSE,
-            _ => {}
-        }
-        let key = (Op::Not, f.0, 0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let n = self.node(f);
-        let lo = self.not(n.lo);
-        let hi = self.not(n.hi);
-        let r = self.mk(n.var, lo, hi);
-        self.cache.insert(key, r);
-        r
+        self.try_not(f, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Conjunction.
     pub fn and(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        if f == g {
-            return f;
-        }
-        if f.is_false() || g.is_false() {
-            return NodeId::FALSE;
-        }
-        if f.is_true() {
-            return g;
-        }
-        if g.is_true() {
-            return f;
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::And, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let r = self.binary_step(Op::And, a, b);
-        self.cache.insert(key, r);
-        r
+        self.try_and(f, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Disjunction.
     pub fn or(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        if f == g {
-            return f;
-        }
-        if f.is_true() || g.is_true() {
-            return NodeId::TRUE;
-        }
-        if f.is_false() {
-            return g;
-        }
-        if g.is_false() {
-            return f;
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Or, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let r = self.binary_step(Op::Or, a, b);
-        self.cache.insert(key, r);
-        r
+        self.try_or(f, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Exclusive or.
     pub fn xor(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        if f == g {
-            return NodeId::FALSE;
-        }
-        if f.is_false() {
-            return g;
-        }
-        if g.is_false() {
-            return f;
-        }
-        if f.is_true() {
-            return self.not(g);
-        }
-        if g.is_true() {
-            return self.not(f);
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Xor, a.0, b.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let r = self.binary_step(Op::Xor, a, b);
-        self.cache.insert(key, r);
-        r
-    }
-
-    fn binary_step(&mut self, op: Op, f: NodeId, g: NodeId) -> NodeId {
-        let (lf, lg) = (self.level(f), self.level(g));
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { self.branches(f) } else { (f, f) };
-        let (g0, g1) = if lg == top { self.branches(g) } else { (g, g) };
-        let (lo, hi) = match op {
-            Op::And => (self.and(f0, g0), self.and(f1, g1)),
-            Op::Or => (self.or(f0, g0), self.or(f1, g1)),
-            Op::Xor => (self.xor(f0, g0), self.xor(f1, g1)),
-            _ => unreachable!("binary_step only handles AND/OR/XOR"),
-        };
-        let var = self.var_at_level(top);
-        self.mk(var, lo, hi)
+        self.try_xor(f, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Exclusive nor (equivalence).
     pub fn xnor(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let x = self.xor(f, g);
-        self.not(x)
+        self.try_xnor(f, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Implication `f → g`.
     pub fn implies(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let nf = self.not(f);
-        self.or(nf, g)
+        self.try_implies(f, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Difference `f · ¬g`.
     pub fn diff(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let ng = self.not(g);
-        self.and(f, ng)
+        self.try_diff(f, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// If-then-else: `f·g + ¬f·h`.
     pub fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
-        // Terminal cases.
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g.is_true() && h.is_false() {
-            return f;
-        }
-        if g.is_false() && h.is_true() {
-            return self.not(f);
-        }
-        let key = (Op::Ite, f.0, g.0, h.0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let top = self.level(f).min(self.level(g)).min(self.level(h));
-        let (f0, f1) = if self.level(f) == top { self.branches(f) } else { (f, f) };
-        let (g0, g1) = if self.level(g) == top { self.branches(g) } else { (g, g) };
-        let (h0, h1) = if self.level(h) == top { self.branches(h) } else { (h, h) };
-        let lo = self.ite(f0, g0, h0);
-        let hi = self.ite(f1, g1, h1);
-        let var = self.var_at_level(top);
-        let r = self.mk(var, lo, hi);
-        self.cache.insert(key, r);
-        r
+        self.try_ite(f, g, h, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// `true` iff `f ≤ g` in the "less-than-or-equal" partial order of the
     /// paper (§3.2.1), i.e. `f → g` is a tautology.
     pub fn leq(&mut self, f: NodeId, g: NodeId) -> bool {
-        self.diff(f, g).is_false()
+        self.try_leq(f, g, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Balanced conjunction of many operands.
     pub fn and_many<I: IntoIterator<Item = NodeId>>(&mut self, fs: I) -> NodeId {
-        self.reduce_many(fs.into_iter().collect(), Op::And)
+        self.try_and_many(fs, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Balanced disjunction of many operands.
     pub fn or_many<I: IntoIterator<Item = NodeId>>(&mut self, fs: I) -> NodeId {
-        self.reduce_many(fs.into_iter().collect(), Op::Or)
+        self.try_or_many(fs, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Balanced exclusive-or of many operands.
     pub fn xor_many<I: IntoIterator<Item = NodeId>>(&mut self, fs: I) -> NodeId {
-        self.reduce_many(fs.into_iter().collect(), Op::Xor)
+        self.try_xor_many(fs, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
-    fn reduce_many(&mut self, mut fs: Vec<NodeId>, op: Op) -> NodeId {
-        if fs.is_empty() {
-            return match op {
-                Op::And => NodeId::TRUE,
-                _ => NodeId::FALSE,
-            };
-        }
-        while fs.len() > 1 {
-            let mut next = Vec::with_capacity(fs.len().div_ceil(2));
-            for pair in fs.chunks(2) {
-                let r = if pair.len() == 2 {
-                    match op {
-                        Op::And => self.and(pair[0], pair[1]),
-                        Op::Or => self.or(pair[0], pair[1]),
-                        Op::Xor => self.xor(pair[0], pair[1]),
-                        _ => unreachable!(),
-                    }
-                } else {
-                    pair[0]
-                };
-                next.push(r);
-            }
-            fs = next;
-        }
-        fs[0]
-    }
-
-    /// Positive cofactor of `f` with respect to variable `v`.
+    /// Cofactor of `f` with variable `v` fixed to `value`.
     pub fn cofactor(&mut self, f: NodeId, v: VarId, value: bool) -> NodeId {
-        let constant = if value { NodeId::TRUE } else { NodeId::FALSE };
-        self.compose(f, v, constant)
+        self.try_cofactor(f, v, value, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Conjunction of the positive literals of `vars` (a positive cube).
@@ -1180,7 +1045,7 @@ impl Manager {
         freed
     }
 
-    /// The governed twin of [`Manager::maybe_gc`]: the `bdd.gc`
+    /// The governed form of [`Manager::maybe_gc`]: the `bdd.gc`
     /// fault-injection site and an interrupt poll guard the safe point
     /// *before* any mutation, so on `Err` the manager is untouched
     /// (every previously valid id stays valid) and the caller can
@@ -1263,11 +1128,11 @@ impl Manager {
     /// remain valid (nodes are rewritten in place, never moved);
     /// everything else is collected first.
     pub fn sift_in_place(&mut self, roots: &[NodeId]) {
-        let gov = ResourceGovernor::unlimited();
-        self.sift_in_place_governed(roots, &gov).expect("unlimited governor cannot trip");
+        self.try_sift_in_place(roots, &UNMETERED)
+            .expect("unlimited governor cannot trip");
     }
 
-    /// The governed twin of [`Manager::sift_in_place`]: crosses the
+    /// The governed form of [`Manager::sift_in_place`]: crosses the
     /// `bdd.sift` fault-injection site and polls for interruption
     /// before each variable's excursion. On `Err` the sift stops at a
     /// whole-variable boundary — the diagram is canonical there, all
@@ -1276,14 +1141,6 @@ impl Manager {
     /// so a cancelled reorder degrades to "partially improved order",
     /// never to a corrupt manager.
     pub fn try_sift_in_place(
-        &mut self,
-        roots: &[NodeId],
-        gov: &ResourceGovernor,
-    ) -> Result<(), ResourceExhausted> {
-        self.sift_in_place_governed(roots, gov)
-    }
-
-    fn sift_in_place_governed(
         &mut self,
         roots: &[NodeId],
         gov: &ResourceGovernor,

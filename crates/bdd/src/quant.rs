@@ -1,19 +1,19 @@
 //! Existential and universal quantification over variable cubes.
 
-use crate::manager::Op;
+use crate::budgeted::UNMETERED;
 use crate::{Manager, NodeId, VarId};
 
 impl Manager {
     /// Existential quantification `∃vars f`.
     pub fn exists(&mut self, f: NodeId, vars: &[VarId]) -> NodeId {
-        let cube = self.cube(vars);
-        self.exists_cube(f, cube)
+        self.try_exists(f, vars, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Universal quantification `∀vars f`.
     pub fn forall(&mut self, f: NodeId, vars: &[VarId]) -> NodeId {
-        let cube = self.cube(vars);
-        self.forall_cube(f, cube)
+        self.try_forall(f, vars, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Existential quantification of a single variable.
@@ -29,100 +29,21 @@ impl Manager {
     /// `∃cube f` where `cube` is a positive cube built with
     /// [`Manager::cube`].
     pub fn exists_cube(&mut self, f: NodeId, cube: NodeId) -> NodeId {
-        self.quant_rec(f, cube, Op::Exists)
+        self.try_exists_cube(f, cube, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// `∀cube f` where `cube` is a positive cube.
     pub fn forall_cube(&mut self, f: NodeId, cube: NodeId) -> NodeId {
-        self.quant_rec(f, cube, Op::Forall)
-    }
-
-    fn quant_rec(&mut self, f: NodeId, cube: NodeId, op: Op) -> NodeId {
-        if f.is_terminal() || cube.is_true() {
-            return f;
-        }
-        debug_assert!(!cube.is_false(), "quantification cube must be a positive cube");
-        // Skip cube variables above f's top variable: they do not occur in f.
-        let mut cube = cube;
-        let f_level = self.level(f);
-        while !cube.is_true() && self.level(cube) < f_level {
-            cube = self.branches(cube).1;
-        }
-        if cube.is_true() {
-            return f;
-        }
-        let key = (op, f.0, cube.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let (f0, f1) = self.branches(f);
-        let fvar = self.node(f).var;
-        let r = if self.level(cube) == f_level {
-            let rest = self.branches(cube).1;
-            let lo = self.quant_rec(f0, rest, op);
-            let hi = self.quant_rec(f1, rest, op);
-            match op {
-                Op::Exists => self.or(lo, hi),
-                Op::Forall => self.and(lo, hi),
-                _ => unreachable!(),
-            }
-        } else {
-            let lo = self.quant_rec(f0, cube, op);
-            let hi = self.quant_rec(f1, cube, op);
-            self.mk(fvar, lo, hi)
-        };
-        self.cache.insert(key, r);
-        r
+        self.try_forall_cube(f, cube, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 
     /// Relational product `∃cube (f · g)` computed without materializing
     /// the full conjunction — the workhorse of image computation.
     pub fn and_exists(&mut self, f: NodeId, g: NodeId, cube: NodeId) -> NodeId {
-        if f.is_false() || g.is_false() {
-            return NodeId::FALSE;
-        }
-        if f.is_true() && g.is_true() {
-            return NodeId::TRUE;
-        }
-        if cube.is_true() {
-            return self.and(f, g);
-        }
-        if f.is_true() {
-            return self.exists_cube(g, cube);
-        }
-        if g.is_true() {
-            return self.exists_cube(f, cube);
-        }
-        let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        let key = (Op::Exists, a.0, b.0, cube.0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let top = self.level(a).min(self.level(b));
-        // Skip cube variables above the top of both operands.
-        let mut cube_here = cube;
-        while !cube_here.is_true() && self.level(cube_here) < top {
-            cube_here = self.branches(cube_here).1;
-        }
-        let (a0, a1) = if self.level(a) == top { self.branches(a) } else { (a, a) };
-        let (b0, b1) = if self.level(b) == top { self.branches(b) } else { (b, b) };
-        let r = if !cube_here.is_true() && self.level(cube_here) == top {
-            let rest = self.branches(cube_here).1;
-            let lo = self.and_exists(a0, b0, rest);
-            if lo.is_true() {
-                NodeId::TRUE
-            } else {
-                let hi = self.and_exists(a1, b1, rest);
-                self.or(lo, hi)
-            }
-        } else {
-            let lo = self.and_exists(a0, b0, cube_here);
-            let hi = self.and_exists(a1, b1, cube_here);
-            let var = self.var_at_level(top);
-            self.mk(var, lo, hi)
-        };
-        self.cache.insert(key, r);
-        r
+        self.try_and_exists(f, g, cube, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 }
 

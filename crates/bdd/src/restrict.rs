@@ -6,7 +6,7 @@
 //! to exploit an unreachable-state don't-care set when a single concrete
 //! function is needed — e.g. picking a small member of an interval.
 
-use crate::manager::Op;
+use crate::budgeted::UNMETERED;
 use crate::{Manager, NodeId};
 
 impl Manager {
@@ -16,45 +16,8 @@ impl Manager {
     /// result is unspecified (that freedom is what shrinks the BDD).
     /// `restrict(f, 0)` is defined as `f`.
     pub fn restrict(&mut self, f: NodeId, care: NodeId) -> NodeId {
-        if care.is_false() {
-            return f;
-        }
-        self.restrict_rec(f, care)
-    }
-
-    fn restrict_rec(&mut self, f: NodeId, care: NodeId) -> NodeId {
-        if f.is_terminal() || care.is_true() {
-            return f;
-        }
-        debug_assert!(!care.is_false(), "inner care set cannot be empty");
-        let key = (Op::Restrict, f.0, care.0, 0);
-        if let Some(r) = self.cache.get(key) {
-            return r;
-        }
-        let lf = self.level(f);
-        let lc = self.level(care);
-        let r = if lc < lf {
-            // The care set branches on a variable f ignores: merge the
-            // branches (f must agree wherever *either* side cares).
-            let (c0, c1) = self.branches(care);
-            let merged = self.or(c0, c1);
-            self.restrict_rec(f, merged)
-        } else {
-            let (f0, f1) = self.branches(f);
-            let fvar = self.node(f).var;
-            let (c0, c1) = if lc == lf { self.branches(care) } else { (care, care) };
-            if c0.is_false() {
-                self.restrict_rec(f1, c1)
-            } else if c1.is_false() {
-                self.restrict_rec(f0, c0)
-            } else {
-                let lo = self.restrict_rec(f0, c0);
-                let hi = self.restrict_rec(f1, c1);
-                self.mk(fvar, lo, hi)
-            }
-        };
-        self.cache.insert(key, r);
-        r
+        self.try_restrict(f, care, &UNMETERED)
+            .expect("unlimited governor cannot trip")
     }
 }
 

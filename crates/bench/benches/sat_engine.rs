@@ -4,7 +4,7 @@
 //! order-heap / clause-database changes from the BDD layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use symbi_bdd::{Manager, VarId};
+use symbi_bdd::{Manager, ResourceGovernor, VarId};
 use symbi_circuits::adder;
 use symbi_core::sat_dec;
 use symbi_netlist::cone::ConeExtractor;
@@ -59,9 +59,11 @@ fn bench_xor_check(c: &mut Criterion) {
             let half = support.len() / 2;
             let a_vac: Vec<VarId> = support[..half].to_vec();
             let b_vac: Vec<VarId> = support[half..].to_vec();
+            let gov = ResourceGovernor::unlimited();
             b.iter(|| {
                 let (ok, stats) =
-                    sat_dec::xor_decomposable_with_stats(&m, f, &support, &a_vac, &b_vac);
+                    sat_dec::try_xor_decomposable(&m, f, &support, &a_vac, &b_vac, u64::MAX, &gov)
+                        .expect("unlimited governor cannot trip");
                 assert!(ok);
                 assert!(stats.propagations > 0);
             })

@@ -167,13 +167,40 @@ fn chaos_rings() -> Netlist {
     n
 }
 
-/// The fixed circuit suite (first member only in quick mode).
-fn suite(quick: bool) -> Vec<Netlist> {
-    if quick {
-        vec![chaos_counter()]
-    } else {
-        vec![chaos_counter(), chaos_rings()]
+/// The counter's 6-bit core plus De Morgan twins of two gates, all kept
+/// observable as outputs. The SAT-sweeping pre-pass crosses the
+/// `netlist.sweep` site once at its entry and once per pairwise query;
+/// [`chaos_counter`] has no duplicate logic to query, so its sweep cells
+/// run here, where the two twin pairs make two queries and all three
+/// swept occurrences are crossed.
+fn chaos_counter_with_twins() -> Netlist {
+    let mut n = Netlist::new("chaos_ctr6_twin");
+    let en = n.add_input("en");
+    let q = blocks::binary_counter(&mut n, "c", 6, en);
+    let a = n.add_gate("a03", GateKind::And, vec![q[0], q[3]]);
+    let n0 = n.add_gate("n0", GateKind::Not, vec![q[0]]);
+    let n3 = n.add_gate("n3", GateKind::Not, vec![q[3]]);
+    let a_twin = n.add_gate("a03_twin", GateKind::Nor, vec![n0, n3]);
+    let o = n.add_gate("o14", GateKind::Or, vec![q[1], q[4]]);
+    let n1 = n.add_gate("n1", GateKind::Not, vec![q[1]]);
+    let n4 = n.add_gate("n4", GateKind::Not, vec![q[4]]);
+    let o_twin = n.add_gate("o14_twin", GateKind::Nand, vec![n1, n4]);
+    n.add_output("a", a);
+    n.add_output("b", a_twin);
+    n.add_output("c", o);
+    n.add_output("d", o_twin);
+    n
+}
+
+/// The fixed circuit suite (first member only in quick mode), each
+/// member paired with the circuit its `netlist.sweep` cells run on.
+/// `chaos_rings` has enough sweep queries of its own.
+fn suite(quick: bool) -> Vec<(Netlist, Netlist)> {
+    let mut members = vec![(chaos_counter(), chaos_counter_with_twins())];
+    if !quick {
+        members.push((chaos_rings(), chaos_rings()));
     }
+    members
 }
 
 /// Sites whose soundness contract includes *unwinding* — a panic there
@@ -359,9 +386,14 @@ pub fn chaos_report(options: &ChaosOptions) -> ChaosReport {
     let started = Instant::now();
     let max_occ = if options.quick { options.max_occurrence.min(2) } else { options.max_occurrence };
     let mut cells = Vec::new();
-    for netlist in suite(options.quick) {
-        let circuit = netlist.name().to_string();
+    for (netlist, sweep_netlist) in suite(options.quick) {
         for &site in FaultSite::ALL.iter() {
+            let input = if site == FaultSite::NetlistSweep {
+                &sweep_netlist
+            } else {
+                &netlist
+            };
+            let circuit = input.name().to_string();
             for occurrence in 1..=max_occ {
                 let drawn = FaultPlan::derive_kind(options.seed, site, occurrence);
                 let kind = if drawn == FaultKind::Panic && !panic_is_isolated(site) {
@@ -369,7 +401,7 @@ pub fn chaos_report(options: &ChaosOptions) -> ChaosReport {
                 } else {
                     drawn
                 };
-                cells.push(run_cell(&netlist, &circuit, site, occurrence, kind, options));
+                cells.push(run_cell(input, &circuit, site, occurrence, kind, options));
             }
         }
     }
@@ -457,23 +489,6 @@ mod tests {
         assert!(report.fired() > 0, "the sweep must exercise at least some sites");
     }
 
-    /// The counter suite member plus a De Morgan twin of one of its
-    /// gates, so the sweeping pre-pass has a real pairwise refinement
-    /// query (site occurrence 2) on top of the entry crossing
-    /// (occurrence 1).
-    fn chaos_counter_with_twins() -> Netlist {
-        let mut n = Netlist::new("chaos_ctr6_twin");
-        let en = n.add_input("en");
-        let q = blocks::binary_counter(&mut n, "c", 6, en);
-        let a = n.add_gate("a03", GateKind::And, vec![q[0], q[3]]);
-        let n0 = n.add_gate("n0", GateKind::Not, vec![q[0]]);
-        let n3 = n.add_gate("n3", GateKind::Not, vec![q[3]]);
-        let twin = n.add_gate("a03_twin", GateKind::Nor, vec![n0, n3]);
-        n.add_output("a", a);
-        n.add_output("b", twin);
-        n
-    }
-
     #[test]
     fn netlist_sweep_cells_fire_every_kind_and_stay_sound() {
         // The sweep site under all four fault kinds at both the
@@ -504,6 +519,40 @@ mod tests {
                     cell.violations.is_empty(),
                     "{} occ {occurrence}: {:?}",
                     kind.as_str(),
+                    cell.violations
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_netlist_sweep_cell_of_the_full_sweep_fires() {
+        // The full sweep's `netlist.sweep` cells: every suite member's
+        // sweep circuit at every swept occurrence, with the seed's kind
+        // (the site is inside an isolation boundary, so panic draws are
+        // kept). A cell that never fires audits nothing.
+        let options = ChaosOptions::default();
+        for (_, input) in suite(false) {
+            for occurrence in 1..=options.max_occurrence {
+                let kind =
+                    FaultPlan::derive_kind(options.seed, FaultSite::NetlistSweep, occurrence);
+                let cell = run_cell(
+                    &input,
+                    input.name(),
+                    FaultSite::NetlistSweep,
+                    occurrence,
+                    kind,
+                    &options,
+                );
+                assert!(
+                    cell.fired > 0,
+                    "{} occ {occurrence} never fired",
+                    input.name()
+                );
+                assert!(
+                    cell.violations.is_empty(),
+                    "{} occ {occurrence}: {:?}",
+                    input.name(),
                     cell.violations
                 );
             }

@@ -457,7 +457,9 @@ pub struct SatBenchRow {
 /// SAT-based bounded SEC validating an Algorithm 1 run on a Table
 /// 3.2-style block. `quick` trims the widest cones.
 pub fn sat_stats_rows(quick: bool) -> Vec<SatBenchRow> {
+    use symbi_bdd::ResourceGovernor;
     use symbi_core::sat_dec;
+    let gov = ResourceGovernor::unlimited();
     let mut rows = Vec::new();
 
     // Adder sum-bit XOR decomposability (Table 3.1-style cones).
@@ -475,7 +477,8 @@ pub fn sat_stats_rows(quick: bool) -> Vec<SatBenchRow> {
         let (a_vac, b_vac) = (support[..n - 2].to_vec(), support[n - 2..].to_vec());
         let start = Instant::now();
         let (dec, stats) =
-            sat_dec::xor_decomposable_with_stats(&m, f, &support, &a_vac, &b_vac);
+            sat_dec::try_xor_decomposable(&m, f, &support, &a_vac, &b_vac, u64::MAX, &gov)
+                .expect("unlimited governor cannot trip");
         rows.push(SatBenchRow {
             name: format!("adder_s{bit}_xor_check"),
             verdict: dec,
@@ -499,7 +502,8 @@ pub fn sat_stats_rows(quick: bool) -> Vec<SatBenchRow> {
         let (a_vac, b_vac) = (data[..half].to_vec(), data[half..].to_vec());
         let start = Instant::now();
         let (dec, stats) =
-            sat_dec::or_decomposable_with_stats(&m, f, &support, &a_vac, &b_vac);
+            sat_dec::try_or_decomposable(&m, f, &support, &a_vac, &b_vac, u64::MAX, &gov)
+                .expect("unlimited governor cannot trip");
         rows.push(SatBenchRow {
             name: format!("mux{k}_or_check"),
             verdict: dec,
@@ -519,8 +523,7 @@ pub fn sat_stats_rows(quick: bool) -> Vec<SatBenchRow> {
         let f = m.or(t, ef);
         let vars: Vec<VarId> = (0..6u32).map(VarId).collect();
         let start = Instant::now();
-        let (grown, stats) =
-            symbi_core::sat_dec::grow_or_partition_with_stats(&m, f, &vars, VarId(0), VarId(2));
+        let (grown, stats) = sat_dec::grow_or_partition(&m, f, &vars, VarId(0), VarId(2));
         rows.push(SatBenchRow {
             name: "or_partition_growth".to_string(),
             verdict: grown.is_some(),

@@ -16,8 +16,9 @@ pub fn decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    let comp = interval.complement(m);
-    or_dec::decomposable(m, &comp, a_vacuous, b_vacuous)
+    let gov = ResourceGovernor::unlimited();
+    try_decomposable(m, interval, a_vacuous, b_vacuous, &gov)
+        .expect("unlimited governor cannot trip")
 }
 
 /// Witnesses `(g1, g2)` with `g1 · g2` a member of the interval, obtained
@@ -28,9 +29,8 @@ pub fn witnesses(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> (NodeId, NodeId) {
-    let comp = interval.complement(m);
-    let (h1, h2) = or_dec::witnesses(m, &comp, a_vacuous, b_vacuous);
-    (m.not(h1), m.not(h2))
+    let gov = ResourceGovernor::unlimited();
+    try_witnesses(m, interval, a_vacuous, b_vacuous, &gov).expect("unlimited governor cannot trip")
 }
 
 /// Budgeted [`decomposable`].
@@ -66,8 +66,8 @@ impl Choices {
     /// Computes the AND `Bi(c1, c2)` as the OR `Bi` of the complement
     /// interval. Support semantics are identical.
     pub fn compute(m: &mut Manager, interval: &Interval, vars: &[VarId]) -> ChoiceSet {
-        let comp = interval.complement(m);
-        or_dec::Choices::compute(m, &comp, vars)
+        Choices::try_compute(m, interval, vars, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Budgeted [`Choices::compute`].

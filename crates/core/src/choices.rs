@@ -91,92 +91,16 @@ impl ChoiceSet {
     /// symbolic `Bi_k` construction, with dominated pairs purged when
     /// `purge_dominated` is set. Sorted ascending.
     pub fn feasible_pairs(&mut self, purge_dominated: bool) -> Vec<(usize, usize)> {
-        let n = self.num_vars();
-        if !self.is_feasible() {
-            return Vec::new();
-        }
-        if n == 0 {
-            return vec![(0, 0)];
-        }
-        let width = combin::bits_for(n);
-        let e1 = self.fresh_vars(width);
-        let e2 = self.fresh_vars(width);
-        // Bi_k(e1, e2) = ∃c1 c2 [Bi · K(c1,e1) · K(c2,e2)].
-        let k1 = combin::weight_relation(&mut self.mgr, &self.c1, &e1);
-        let k2 = combin::weight_relation(&mut self.mgr, &self.c2, &e2);
-        let mut cs: Vec<VarId> = self.c1.clone();
-        cs.extend(self.c2.iter().copied());
-        let cube = self.mgr.cube(&cs);
-        let t = self.mgr.and(self.bi, k1);
-        let t2 = self.mgr.and(t, k2);
-        let mut bik = self.mgr.exists_cube(t2, cube);
-
-        if purge_dominated {
-            bik = self.purge_dominated(bik, &e1, &e2);
-        }
-
-        // Enumerate by membership test per (k1, k2): n² cheap cofactor
-        // probes, robust against don't-care bits in cube enumeration.
-        let mut out = Vec::new();
-        for s1 in 0..=n {
-            let enc1 = combin::encode_int(&mut self.mgr, &e1, s1);
-            let with1 = self.mgr.and(bik, enc1);
-            if with1.is_false() {
-                continue;
-            }
-            for s2 in 0..=n {
-                let enc2 = combin::encode_int(&mut self.mgr, &e2, s2);
-                let both = self.mgr.and(with1, enc2);
-                if !both.is_false() {
-                    out.push((s1, s2));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Subtracts pairs dominated by a component-wise smaller feasible pair
-    /// (the `dom(ε, ε′)` purge of §3.5.2).
-    fn purge_dominated(&mut self, bik: NodeId, e1: &[VarId], e2: &[VarId]) -> NodeId {
-        let width = e1.len();
-        let p1 = self.fresh_vars(width);
-        let p2 = self.fresh_vars(width);
-        // Bi_k over the primed variables.
-        let rename: Vec<(VarId, VarId)> = e1
-            .iter()
-            .copied()
-            .zip(p1.iter().copied())
-            .chain(e2.iter().copied().zip(p2.iter().copied()))
-            .collect();
-        let bik_primed = self.mgr.rename(bik, &rename);
-        // dom(ε, ε′): ε′ dominates ε.
-        let ge1 = combin::gte(&mut self.mgr, e1, &p1);
-        let ge2 = combin::gte(&mut self.mgr, e2, &p2);
-        let eq1 = combin::equ(&mut self.mgr, e1, &p1);
-        let eq2 = combin::equ(&mut self.mgr, e2, &p2);
-        let both_eq = self.mgr.and(eq1, eq2);
-        let strict = self.mgr.not(both_eq);
-        let ge = self.mgr.and(ge1, ge2);
-        let dom = self.mgr.and(ge, strict);
-        // dominated(ε) = ∃ε′ [Bi_k(ε′) · dom(ε, ε′)].
-        let witness = self.mgr.and(bik_primed, dom);
-        let mut primed: Vec<VarId> = p1;
-        primed.extend(p2);
-        let primed_cube = self.mgr.cube(&primed);
-        let dominated = self.mgr.exists_cube(witness, primed_cube);
-        self.mgr.diff(bik, dominated)
+        self.try_feasible_pairs(purge_dominated, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Best balanced non-trivial size pair: minimal `max(k1,k2)`, then
     /// minimal `k1+k2`, then minimal imbalance. `None` when only trivial
     /// (full-support) decompositions exist.
     pub fn best_balanced(&mut self) -> Option<(usize, usize)> {
-        let n = self.num_vars();
-        self.feasible_pairs(true)
-            .into_iter()
-            .filter(|&(a, b)| a.max(b) < n)
-            .min_by_key(|&(a, b)| (a.max(b), a + b, a.abs_diff(b)))
+        self.try_best_balanced(&ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Number of feasible decompositions with exactly the given support
@@ -196,27 +120,14 @@ impl ChoiceSet {
     /// Picks one feasible partition with the given support sizes, returned
     /// in the caller's variable ids. `None` if the sizes are infeasible.
     pub fn pick_partition(&mut self, k1: usize, k2: usize) -> Option<SupportPair> {
-        let w1 = combin::weight_exactly(&mut self.mgr, &self.c1, k1);
-        let w2 = combin::weight_exactly(&mut self.mgr, &self.c2, k2);
-        let t = self.mgr.and(self.bi, w1);
-        let constrained = self.mgr.and(t, w2);
-        let cube = self.mgr.one_sat(constrained)?;
-        let on = |vars: &[VarId]| -> Vec<VarId> {
-            // Weight functions pin every decision variable, so the cube
-            // mentions each c-variable explicitly.
-            vars.iter()
-                .enumerate()
-                .filter(|&(_, &c)| cube.iter().any(|&(v, phase)| v == c && phase))
-                .map(|(i, _)| self.ext_vars[i])
-                .collect()
-        };
-        Some(SupportPair { g1_vars: on(&self.c1), g2_vars: on(&self.c2) })
+        self.try_pick_partition(k1, k2, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Convenience: best balanced sizes, then one partition of that shape.
     pub fn pick_balanced_partition(&mut self) -> Option<SupportPair> {
-        let (k1, k2) = self.best_balanced()?;
-        self.pick_partition(k1, k2)
+        self.try_pick_balanced_partition(&ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Timing-driven selection (§3.5.3: "partition that best improves
@@ -273,10 +184,11 @@ impl ChoiceSet {
         out
     }
 
-    // --- Budgeted twins -------------------------------------------------
+    // --- Governed forms -------------------------------------------------
     //
-    // Same query pipeline as the methods above with the heavy conjunction
-    // / quantification steps routed through the governor. The `combin`
+    // The query pipeline of the methods above, with the heavy conjunction
+    // / quantification steps routed through the governor; each plain
+    // method runs its form here under an unlimited governor. The `combin`
     // weight builders are polynomial-size and stay unmetered, but a
     // checkpoint after each keeps deadline and cancellation live between
     // probes.
@@ -297,6 +209,7 @@ impl ChoiceSet {
         let width = combin::bits_for(n);
         let e1 = self.fresh_vars(width);
         let e2 = self.fresh_vars(width);
+        // Bi_k(e1, e2) = ∃c1 c2 [Bi · K(c1,e1) · K(c2,e2)].
         let k1 = combin::weight_relation(&mut self.mgr, &self.c1, &e1);
         gov.checkpoint(self.mgr.stats().nodes)?;
         let k2 = combin::weight_relation(&mut self.mgr, &self.c2, &e2);
@@ -312,6 +225,8 @@ impl ChoiceSet {
             bik = self.try_purge_dominated(bik, &e1, &e2, gov)?;
         }
 
+        // Enumerate by membership test per (k1, k2): n² cheap cofactor
+        // probes, robust against don't-care bits in cube enumeration.
         let mut out = Vec::new();
         for s1 in 0..=n {
             let enc1 = combin::encode_int(&mut self.mgr, &e1, s1);
@@ -331,7 +246,8 @@ impl ChoiceSet {
         Ok(out)
     }
 
-    /// Budgeted [`ChoiceSet::purge_dominated`].
+    /// Subtracts pairs dominated by a component-wise smaller feasible pair
+    /// (the `dom(ε, ε′)` purge of §3.5.2).
     fn try_purge_dominated(
         &mut self,
         bik: NodeId,
@@ -342,6 +258,7 @@ impl ChoiceSet {
         let width = e1.len();
         let p1 = self.fresh_vars(width);
         let p2 = self.fresh_vars(width);
+        // Bi_k over the primed variables.
         let rename: Vec<(VarId, VarId)> = e1
             .iter()
             .copied()
@@ -349,6 +266,7 @@ impl ChoiceSet {
             .chain(e2.iter().copied().zip(p2.iter().copied()))
             .collect();
         let bik_primed = self.mgr.try_rename(bik, &rename, gov)?;
+        // dom(ε, ε′): ε′ dominates ε.
         let ge1 = combin::gte(&mut self.mgr, e1, &p1);
         let ge2 = combin::gte(&mut self.mgr, e2, &p2);
         let eq1 = combin::equ(&mut self.mgr, e1, &p1);
@@ -358,6 +276,7 @@ impl ChoiceSet {
         let strict = self.mgr.try_not(both_eq, gov)?;
         let ge = self.mgr.try_and(ge1, ge2, gov)?;
         let dom = self.mgr.try_and(ge, strict, gov)?;
+        // dominated(ε) = ∃ε′ [Bi_k(ε′) · dom(ε, ε′)].
         let witness = self.mgr.try_and(bik_primed, dom, gov)?;
         let mut primed: Vec<VarId> = p1;
         primed.extend(p2);
@@ -393,6 +312,8 @@ impl ChoiceSet {
         let constrained = self.mgr.try_and(t, w2, gov)?;
         let Some(cube) = self.mgr.one_sat(constrained) else { return Ok(None) };
         let on = |vars: &[VarId]| -> Vec<VarId> {
+            // Weight functions pin every decision variable, so the cube
+            // mentions each c-variable explicitly.
             vars.iter()
                 .enumerate()
                 .filter(|&(_, &c)| cube.iter().any(|&(v, phase)| v == c && phase))

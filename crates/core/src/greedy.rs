@@ -38,14 +38,11 @@ fn check(
     a: &[VarId],
     b: &[VarId],
 ) -> bool {
-    match kind {
-        DecKind::Or => or_dec::decomposable(m, interval, a, b),
-        DecKind::And => and_dec::decomposable(m, interval, a, b),
-        DecKind::Xor => xor_dec::decomposable(m, interval, vars, a, b),
-    }
+    let gov = ResourceGovernor::unlimited();
+    try_check(m, kind, interval, vars, a, b, &gov).expect("unlimited governor cannot trip")
 }
 
-/// Result of [`grow_with_budget`].
+/// Result of [`grow_styled`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GreedyResult {
     /// A partition was grown.
@@ -74,10 +71,8 @@ pub fn grow(
     interval: &Interval,
     vars: &[VarId],
 ) -> Option<GreedyOutcome> {
-    match grow_with_budget(m, kind, interval, vars, std::time::Duration::MAX) {
-        GreedyResult::Found(o) => Some(o),
-        _ => None,
-    }
+    grow_governed(m, kind, interval, vars, &ResourceGovernor::unlimited())
+        .expect("unlimited governor cannot trip")
 }
 
 fn try_check(
@@ -96,8 +91,8 @@ fn try_check(
     }
 }
 
-/// Governed [`grow`]: the same seed-and-extend search with every inner
-/// decomposability check budgeted. Unlike [`grow_with_budget`]'s
+/// Governed [`grow`]: the seed-and-extend search with every inner
+/// decomposability check budgeted. Unlike [`grow_styled`]'s
 /// wall-clock-only deadline, the governor also fires *inside* a check the
 /// moment a step or node limit trips, so a single pathological check
 /// cannot blow past the budget. Returns `Ok(None)` when no seed pair is
@@ -166,18 +161,6 @@ pub enum CheckStyle {
     ExplicitCofactor,
 }
 
-/// [`grow`] with a wall-clock budget, checked between decomposability
-/// checks.
-pub fn grow_with_budget(
-    m: &mut Manager,
-    kind: DecKind,
-    interval: &Interval,
-    vars: &[VarId],
-    budget: std::time::Duration,
-) -> GreedyResult {
-    grow_styled(m, kind, interval, vars, budget, CheckStyle::Symbolic)
-}
-
 /// Explicit XOR decomposability check by cofactor enumeration: picks the
 /// reference assignment `A = 0` and verifies that every cofactor
 /// difference `f|_{A=a} ⊕ f|_{A=0}` is vacuous in `B`. Exponential in
@@ -214,7 +197,8 @@ fn explicit_xor_check(
     Some(true)
 }
 
-/// [`grow_with_budget`] with an explicit choice of check style.
+/// [`grow`] with a wall-clock budget, checked between decomposability
+/// checks, and an explicit choice of check style.
 pub fn grow_styled(
     m: &mut Manager,
     kind: DecKind,

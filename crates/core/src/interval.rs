@@ -50,22 +50,26 @@ impl Interval {
     /// `dc` — how unreachable states widen a signal's specification
     /// (§3.5.1).
     pub fn with_dontcare(m: &mut Manager, f: NodeId, dc: NodeId) -> Self {
-        Interval { lower: m.diff(f, dc), upper: m.or(f, dc) }
+        Interval::try_with_dontcare(m, f, dc, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Consistency (non-emptiness): `lower ≤ upper`.
     pub fn is_consistent(&self, m: &mut Manager) -> bool {
-        m.leq(self.lower, self.upper)
+        self.try_is_consistent(m, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Is the completely specified `f` a member of this interval?
     pub fn contains(&self, m: &mut Manager, f: NodeId) -> bool {
-        m.leq(self.lower, f) && m.leq(f, self.upper)
+        self.try_contains(m, f, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// The don't-care set `¬l · u`.
     pub fn dontcare_set(&self, m: &mut Manager) -> NodeId {
-        m.diff(self.upper, self.lower)
+        self.try_dontcare_set(m, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Is the interval a single completely specified function?
@@ -76,7 +80,8 @@ impl Interval {
     /// The complemented interval `[ū, l̄]` (used for AND decomposition via
     /// OR duality, §3.3.1).
     pub fn complement(&self, m: &mut Manager) -> Interval {
-        Interval { lower: m.not(self.upper), upper: m.not(self.lower) }
+        self.try_complement(m, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Abstraction `∀vars [l, u] = [∃vars l, ∀vars u]` (§3.2.1): the
@@ -84,7 +89,8 @@ impl Interval {
     /// `vars`. May be inconsistent — Example 3.2 abstracts `y` from
     /// `[x̄y, x+y]` and obtains the empty `[x̄, x]`.
     pub fn abstract_vars(&self, m: &mut Manager, vars: &[VarId]) -> Interval {
-        Interval { lower: m.exists(self.lower, vars), upper: m.forall(self.upper, vars) }
+        self.try_abstract_vars(m, vars, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Union of the bounds' supports.
@@ -106,16 +112,8 @@ impl Interval {
     /// across all subsets — use [`crate::param::abstraction_choices`] for
     /// the exhaustive symbolic version.
     pub fn reduce_support(&self, m: &mut Manager) -> (Interval, Vec<VarId>) {
-        let mut current = *self;
-        let mut removed = Vec::new();
-        for v in self.support(m) {
-            let candidate = current.abstract_vars(m, &[v]);
-            if candidate.is_consistent(m) {
-                current = candidate;
-                removed.push(v);
-            }
-        }
-        (current, removed)
+        self.try_reduce_support(m, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Picks one member function, heuristically small: vacuous variables
@@ -123,28 +121,15 @@ impl Interval {
     /// [`Manager::restrict`]ed to the care set `l + ū` (don't-care points
     /// float to whatever shrinks the BDD). Any member would be correct.
     pub fn pick_member(&self, m: &mut Manager) -> NodeId {
-        let (reduced, _) = self.reduce_support(m);
-        if reduced.is_exact() {
-            return reduced.lower;
-        }
-        let dc = reduced.dontcare_set(m);
-        let care = m.not(dc);
-        let candidate = m.restrict(reduced.lower, care);
-        if reduced.contains(m, candidate) {
-            candidate
-        } else {
-            // `restrict` may leave the interval on don't-care points of
-            // inconsistent polarity; clamp back into the bounds.
-            let t = m.or(candidate, reduced.lower);
-            m.and(t, reduced.upper)
-        }
+        self.try_pick_member(m, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
-    // --- Budgeted twins -------------------------------------------------
+    // --- Governed forms -------------------------------------------------
     //
-    // Same computations as the methods above, with every BDD operation
-    // routed through the governor. A successful call returns exactly what
-    // the unbudgeted method would (BDD canonicity).
+    // The bodies of the methods above, with every BDD operation routed
+    // through the governor; each plain method runs its form here under an
+    // unlimited governor.
 
     /// Budgeted [`Interval::with_dontcare`].
     pub fn try_with_dontcare(
@@ -206,8 +191,7 @@ impl Interval {
         })
     }
 
-    /// Budgeted [`Interval::reduce_support`]: same greedy order, same
-    /// result on success.
+    /// Budgeted [`Interval::reduce_support`].
     pub fn try_reduce_support(
         &self,
         m: &mut Manager,
@@ -241,6 +225,8 @@ impl Interval {
         if reduced.try_contains(m, candidate, gov)? {
             Ok(candidate)
         } else {
+            // `restrict` may leave the interval on don't-care points of
+            // inconsistent polarity; clamp back into the bounds.
             let t = m.try_or(candidate, reduced.lower, gov)?;
             m.try_and(t, reduced.upper, gov)
         }

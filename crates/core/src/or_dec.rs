@@ -18,7 +18,7 @@
 //! ```
 
 use crate::choices::ChoiceSet;
-use crate::param::{parameterize_forall, try_parameterize_forall};
+use crate::param::try_parameterize_forall;
 use crate::Interval;
 use symbi_bdd::hash::FxHashMap;
 use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
@@ -31,10 +31,9 @@ pub fn decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    let u1 = m.forall(interval.upper, a_vacuous);
-    let u2 = m.forall(interval.upper, b_vacuous);
-    let rhs = m.or(u1, u2);
-    m.leq(interval.lower, rhs)
+    let gov = ResourceGovernor::unlimited();
+    try_decomposable(m, interval, a_vacuous, b_vacuous, &gov)
+        .expect("unlimited governor cannot trip")
 }
 
 /// Canonical witnesses `(g1, g2) = (∀A u, ∀B u)` for a feasible pair of
@@ -46,7 +45,8 @@ pub fn witnesses(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> (NodeId, NodeId) {
-    (m.forall(interval.upper, a_vacuous), m.forall(interval.upper, b_vacuous))
+    let gov = ResourceGovernor::unlimited();
+    try_witnesses(m, interval, a_vacuous, b_vacuous, &gov).expect("unlimited governor cannot trip")
 }
 
 /// Budgeted [`decomposable`].
@@ -120,25 +120,8 @@ impl Choices {
     ///
     /// Panics if the interval depends on variables outside `vars`.
     pub fn compute(m: &mut Manager, interval: &Interval, vars: &[VarId]) -> ChoiceSet {
-        let n = vars.len();
-        let mut mgr = Manager::with_vars(3 * n);
-        let c1: Vec<VarId> = (0..n).map(|i| VarId(3 * i as u32)).collect();
-        let c2: Vec<VarId> = (0..n).map(|i| VarId(3 * i as u32 + 1)).collect();
-        let xs: Vec<VarId> = (0..n).map(|i| VarId(3 * i as u32 + 2)).collect();
-        let var_map: FxHashMap<VarId, VarId> =
-            vars.iter().copied().zip(xs.iter().copied()).collect();
-        let lower = mgr.transfer_from(m, interval.lower, &var_map);
-        let upper = mgr.transfer_from(m, interval.upper, &var_map);
-
-        let pairs1: Vec<(VarId, VarId)> = xs.iter().copied().zip(c1.iter().copied()).collect();
-        let pairs2: Vec<(VarId, VarId)> = xs.iter().copied().zip(c2.iter().copied()).collect();
-        let u1 = parameterize_forall(&mut mgr, upper, &pairs1);
-        let u2 = parameterize_forall(&mut mgr, upper, &pairs2);
-        let nl = mgr.not(lower);
-        let t = mgr.or(nl, u1);
-        let body = mgr.or(t, u2);
-        let bi = mgr.forall(body, &xs);
-        ChoiceSet { mgr, bi, c1, c2, ext_vars: vars.to_vec() }
+        Choices::try_compute(m, interval, vars, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Budgeted [`Choices::compute`]: the `Bi` construction — the most

@@ -22,25 +22,15 @@ use symbi_bdd::{Manager, NodeId, ResourceExhausted, ResourceGovernor, VarId};
 /// Pairs may come in any order; the decision variables must be distinct
 /// from the function variables.
 pub fn parameterize_forall(m: &mut Manager, f: NodeId, pairs: &[(VarId, VarId)]) -> NodeId {
-    let mut acc = f;
-    for &(x, c) in pairs {
-        let abstracted = m.forall_var(acc, x);
-        let cnode = m.var(c);
-        acc = m.ite(cnode, acc, abstracted);
-    }
-    acc
+    try_parameterize_forall(m, f, pairs, &ResourceGovernor::unlimited())
+        .expect("unlimited governor cannot trip")
 }
 
 /// Builds `L(c, x)`: like [`parameterize_forall`] with existential
 /// quantification, for lower bounds.
 pub fn parameterize_exists(m: &mut Manager, f: NodeId, pairs: &[(VarId, VarId)]) -> NodeId {
-    let mut acc = f;
-    for &(x, c) in pairs {
-        let abstracted = m.exists_var(acc, x);
-        let cnode = m.var(c);
-        acc = m.ite(cnode, acc, abstracted);
-    }
-    acc
+    try_parameterize_exists(m, f, pairs, &ResourceGovernor::unlimited())
+        .expect("unlimited governor cannot trip")
 }
 
 /// Budgeted [`parameterize_forall`]: identical chain, every `∀` and `ITE`

@@ -238,212 +238,13 @@ pub struct Stats {
 ///
 /// Panics if the interval is inconsistent.
 pub fn decompose(m: &mut Manager, interval: &Interval, options: &Options) -> (Tree, Stats) {
-    assert!(
-        { interval.is_consistent(m) },
-        "cannot decompose an empty interval"
-    );
-    let mut stats = Stats::default();
-    let tree = decompose_rec(m, *interval, options, &mut stats, 0);
-    (tree, stats)
-}
-
-fn decompose_rec(
-    m: &mut Manager,
-    interval: Interval,
-    options: &Options,
-    stats: &mut Stats,
-    depth: usize,
-) -> Tree {
-    // 1. Abstract vacuous variables (§3.5.1 pre-processing).
-    let (iv, removed) = interval.reduce_support(m);
-    stats.vars_abstracted += removed.len();
-
-    // 2. Constants.
-    if iv.lower.is_false() {
-        return Tree::Const(false);
-    }
-    if iv.upper.is_true() {
-        return Tree::Const(true);
-    }
-    let support = iv.support(m);
-    debug_assert!(!support.is_empty(), "non-constant interval with empty support");
-
-    // 3. Single literal.
-    if support.len() == 1 {
-        let v = support[0];
-        let pos = m.var(v);
-        if iv.contains(m, pos) {
-            return Tree::Literal(v, true);
-        }
-        let neg = m.not(pos);
-        if iv.contains(m, neg) {
-            return Tree::Literal(v, false);
-        }
-        unreachable!("a 1-variable non-constant interval contains a literal");
-    }
-
-    // 4. Bi-decomposition with the best balanced partition across kinds.
-    // Stack depth is bounded by the support size, but guard anyway.
-    if depth < 256 {
-        if let Some((kind, pair)) = best_partition(m, &iv, &support, options) {
-            let a_vac: Vec<VarId> =
-                support.iter().copied().filter(|v| !pair.g1_vars.contains(v)).collect();
-            let b_vac: Vec<VarId> =
-                support.iter().copied().filter(|v| !pair.g2_vars.contains(v)).collect();
-            match kind {
-                DecKind::Or => {
-                    stats.or_steps += 1;
-                    let (t1, t2) = split_or(m, &iv, &a_vac, &b_vac, options, stats, depth);
-                    return Tree::Op(DecKind::Or, Box::new(t1), Box::new(t2));
-                }
-                DecKind::And => {
-                    stats.and_steps += 1;
-                    let comp = iv.complement(m);
-                    let (t1, t2) = split_or(m, &comp, &a_vac, &b_vac, options, stats, depth);
-                    return Tree::Op(
-                        DecKind::And,
-                        Box::new(t1.negate()),
-                        Box::new(t2.negate()),
-                    );
-                }
-                DecKind::Xor => {
-                    if let Some((g1, g2)) =
-                        xor_dec::witnesses(m, &iv, &support, &a_vac, &b_vac)
-                    {
-                        stats.xor_steps += 1;
-                        let t1 =
-                            decompose_rec(m, Interval::exact(g1), options, stats, depth + 1);
-                        let t2 =
-                            decompose_rec(m, Interval::exact(g2), options, stats, depth + 1);
-                        return Tree::Op(DecKind::Xor, Box::new(t1), Box::new(t2));
-                    }
-                    // Construction failed (interval condition was
-                    // optimistic): fall through to Shannon.
-                }
-            }
-        }
-    }
-
-    // 5. Shannon fallback: always removes one variable. The select
-    // variable is chosen to balance (and ideally shrink) the cofactor
-    // supports, which keeps the MUX tree shallow.
-    stats.shannon_steps += 1;
-    let v = *support
-        .iter()
-        .min_by_key(|&&v| {
-            let hi_l = m.cofactor(iv.lower, v, true);
-            let hi_u = m.cofactor(iv.upper, v, true);
-            let lo_l = m.cofactor(iv.lower, v, false);
-            let lo_u = m.cofactor(iv.upper, v, false);
-            let hi_supp = Interval::new(hi_l, hi_u).support(m).len();
-            let lo_supp = Interval::new(lo_l, lo_u).support(m).len();
-            (hi_supp.max(lo_supp), hi_supp + lo_supp)
-        })
-        .expect("non-empty support");
-    let hi = Interval::new(m.cofactor(iv.lower, v, true), m.cofactor(iv.upper, v, true));
-    let lo = Interval::new(m.cofactor(iv.lower, v, false), m.cofactor(iv.upper, v, false));
-    let t_hi = decompose_rec(m, hi, options, stats, depth + 1);
-    let t_lo = decompose_rec(m, lo, options, stats, depth + 1);
-    // ITE(v, hi, lo) = v·hi + v̄·lo.
-    let then_branch = Tree::Op(
-        DecKind::And,
-        Box::new(Tree::Literal(v, true)),
-        Box::new(t_hi),
-    );
-    let else_branch = Tree::Op(
-        DecKind::And,
-        Box::new(Tree::Literal(v, false)),
-        Box::new(t_lo),
-    );
-    Tree::Op(DecKind::Or, Box::new(then_branch), Box::new(else_branch))
-}
-
-/// Derives the two OR sub-problems and recurses (shared by OR and, through
-/// complementation, AND).
-fn split_or(
-    m: &mut Manager,
-    iv: &Interval,
-    a_vac: &[VarId],
-    b_vac: &[VarId],
-    options: &Options,
-    stats: &mut Stats,
-    depth: usize,
-) -> (Tree, Tree) {
-    let u1 = m.forall(iv.upper, a_vac);
-    let u2 = m.forall(iv.upper, b_vac);
-    // g2 covers what the maximal g1 cannot.
-    let uncovered = m.diff(iv.lower, u1);
-    let l2 = m.exists(uncovered, b_vac);
-    let iv2 = Interval::new(l2, u2);
-    let t2 = decompose_rec(m, iv2, options, stats, depth + 1);
-    let g2 = t2.to_bdd(m);
-    // Re-derive g1's obligation against the concrete g2.
-    let residual = m.diff(iv.lower, g2);
-    let l1 = m.exists(residual, a_vac);
-    let iv1 = Interval::new(l1, u1);
-    let t1 = decompose_rec(m, iv1, options, stats, depth + 1);
-    (t1, t2)
-}
-
-/// Best balanced non-trivial partition across the enabled kinds.
-fn best_partition(
-    m: &mut Manager,
-    iv: &Interval,
-    support: &[VarId],
-    options: &Options,
-) -> Option<(DecKind, SupportPair)> {
-    let n = support.len();
-    let symbolic = match options.strategy {
-        PartitionStrategy::Symbolic => true,
-        PartitionStrategy::Greedy => false,
-        PartitionStrategy::Auto(limit) => n <= limit,
-    };
-    let mut kinds = vec![DecKind::Or, DecKind::And];
-    if options.use_xor {
-        kinds.push(DecKind::Xor);
-    }
-    let mut best: Option<(DecKind, SupportPair)> = None;
-    let mut best_key = (usize::MAX, usize::MAX, usize::MAX);
-    for kind in kinds {
-        let pair = if symbolic {
-            let mut ch = match kind {
-                DecKind::Or => or_dec::Choices::compute(m, iv, support),
-                DecKind::And => and_dec::Choices::compute(m, iv, support),
-                DecKind::Xor => xor_dec::Choices::compute(m, iv, support),
-            };
-            ch.pick_balanced_partition()
-        } else {
-            greedy::grow(m, kind, iv, support).map(|o| SupportPair {
-                g1_vars: support
-                    .iter()
-                    .copied()
-                    .filter(|v| !o.a_vacuous.contains(v))
-                    .collect(),
-                g2_vars: support
-                    .iter()
-                    .copied()
-                    .filter(|v| !o.b_vacuous.contains(v))
-                    .collect(),
-            })
-        };
-        if let Some(p) = pair {
-            let (k1, k2) = p.sizes();
-            if k1.max(k2) >= n {
-                continue; // trivial
-            }
-            let key = (k1.max(k2), k1 + k2, p.shared().len());
-            if key < best_key {
-                best_key = key;
-                best = Some((kind, p));
-            }
-        }
-    }
-    best
+    try_decompose(m, interval, options, &ResourceGovernor::unlimited())
+        .expect("unlimited governor cannot trip")
 }
 
 /// Budgeted [`decompose`] with a graceful-degradation ladder.
 ///
-/// Runs the identical algorithm with every BDD operation routed through
+/// The body of [`decompose`], with every BDD operation routed through
 /// `gov`. When a *partition search* exhausts its budget the step degrades
 /// instead of dying:
 ///
@@ -461,8 +262,8 @@ fn best_partition(
 /// correct tree can be produced at all. Callers (the synthesis flow) keep
 /// the original cone in that case.
 ///
-/// Under an unlimited governor this returns exactly what [`decompose`]
-/// returns (with zeroed budget counters), by BDD canonicity.
+/// [`decompose`] is this function under an unlimited governor, where
+/// the budget counters stay zero.
 pub fn try_decompose(
     m: &mut Manager,
     interval: &Interval,
@@ -486,9 +287,11 @@ fn try_decompose_rec(
     depth: usize,
     gov: &ResourceGovernor,
 ) -> Result<Tree, ResourceExhausted> {
+    // 1. Abstract vacuous variables (§3.5.1 pre-processing).
     let (iv, removed) = interval.try_reduce_support(m, gov)?;
     stats.vars_abstracted += removed.len();
 
+    // 2. Constants.
     if iv.lower.is_false() {
         return Ok(Tree::Const(false));
     }
@@ -498,6 +301,7 @@ fn try_decompose_rec(
     let support = iv.support(m);
     debug_assert!(!support.is_empty(), "non-constant interval with empty support");
 
+    // 3. Single literal.
     if support.len() == 1 {
         let v = support[0];
         let pos = m.var(v);
@@ -511,6 +315,8 @@ fn try_decompose_rec(
         unreachable!("a 1-variable non-constant interval contains a literal");
     }
 
+    // 4. Bi-decomposition with the best balanced partition across kinds.
+    // Stack depth is bounded by the support size, but guard anyway.
     if depth < 256 {
         if let Some((kind, pair)) = try_best_partition(m, &iv, &support, options, stats, gov)? {
             let a_vac: Vec<VarId> =
@@ -571,6 +377,9 @@ fn try_decompose_rec(
         }
     }
 
+    // 5. Shannon fallback: always removes one variable. The select
+    // variable is chosen to balance (and ideally shrink) the cofactor
+    // supports, which keeps the MUX tree shallow.
     stats.shannon_steps += 1;
     let mut best: Option<(usize, usize, VarId)> = None;
     for &v in &support {
@@ -596,6 +405,7 @@ fn try_decompose_rec(
     );
     let t_hi = try_decompose_rec(m, hi, options, stats, depth + 1, gov)?;
     let t_lo = try_decompose_rec(m, lo, options, stats, depth + 1, gov)?;
+    // ITE(v, hi, lo) = v·hi + v̄·lo.
     let then_branch = Tree::Op(
         DecKind::And,
         Box::new(Tree::Literal(v, true)),
@@ -609,7 +419,8 @@ fn try_decompose_rec(
     Ok(Tree::Op(DecKind::Or, Box::new(then_branch), Box::new(else_branch)))
 }
 
-/// Governed [`split_or`].
+/// Derives the two OR sub-problems and recurses (shared by OR and, through
+/// complementation, AND).
 #[allow(clippy::too_many_arguments)]
 fn try_split_or(
     m: &mut Manager,
@@ -623,11 +434,13 @@ fn try_split_or(
 ) -> Result<(Tree, Tree), ResourceExhausted> {
     let u1 = m.try_forall(iv.upper, a_vac, gov)?;
     let u2 = m.try_forall(iv.upper, b_vac, gov)?;
+    // g2 covers what the maximal g1 cannot.
     let uncovered = m.try_diff(iv.lower, u1, gov)?;
     let l2 = m.try_exists(uncovered, b_vac, gov)?;
     let iv2 = Interval::new(l2, u2);
     let t2 = try_decompose_rec(m, iv2, options, stats, depth + 1, gov)?;
     let g2 = t2.to_bdd(m);
+    // Re-derive g1's obligation against the concrete g2.
     let residual = m.try_diff(iv.lower, g2, gov)?;
     let l1 = m.try_exists(residual, a_vac, gov)?;
     let iv1 = Interval::new(l1, u1);
@@ -635,7 +448,8 @@ fn try_split_or(
     Ok((t1, t2))
 }
 
-/// Governed [`best_partition`] — the degradation ladder lives here.
+/// Best balanced non-trivial partition across the enabled kinds — the
+/// degradation ladder lives here.
 ///
 /// Per kind: the symbolic search runs under a child governor holding half
 /// the remaining step budget; if it exhausts, the rescue rung (SAT
@@ -721,7 +535,7 @@ fn try_best_partition(
         if let Some(p) = pair {
             let (k1, k2) = p.sizes();
             if k1.max(k2) >= n {
-                continue;
+                continue; // trivial
             }
             let key = (k1.max(k2), k1 + k2, p.shared().len());
             if key < best_key {
@@ -916,31 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn governed_unlimited_matches_unbudgeted() {
-        let gov = ResourceGovernor::unlimited();
-        for use_xor in [true, false] {
-            let mut m = Manager::new();
-            let vs = m.new_vars(5);
-            let ab = m.and(vs[0], vs[1]);
-            let cd = m.and(vs[2], vs[3]);
-            let x = m.xor(vs[3], vs[4]);
-            let t = m.or(ab, cd);
-            let f = m.or(t, x);
-            let iv = Interval::exact(f);
-            let opts = Options { use_xor, ..Default::default() };
-            let (tree, stats) = decompose(&mut m, &iv, &opts);
-            let (gtree, gstats) = try_decompose(&mut m, &iv, &opts, &gov).expect("unlimited");
-            assert_eq!(gtree, tree, "unlimited governed run must reproduce the tree");
-            assert_eq!(gstats.budget_exhausted_ops, 0);
-            assert_eq!(gstats.fallbacks_taken, 0);
-            assert_eq!(
-                (stats.or_steps, stats.and_steps, stats.xor_steps, stats.shannon_steps),
-                (gstats.or_steps, gstats.and_steps, gstats.xor_steps, gstats.shannon_steps),
-            );
-        }
-    }
-
-    #[test]
     fn starved_budgets_degrade_but_never_lie() {
         // Sweep step budgets from starvation upward: every Ok tree must be
         // a member of the interval; sufficiently large budgets succeed.
@@ -1049,6 +838,11 @@ mod tests {
             let opts = Options { backend, ..Default::default() };
             let (tree, stats) = try_decompose(&mut m, &iv, &opts, &gov).expect("unlimited");
             assert_eq!(stats.rescued_checks, 0, "{backend}: no budget trip, no rescue");
+            assert_eq!(
+                (stats.budget_exhausted_ops, stats.fallbacks_taken),
+                (0, 0),
+                "{backend}: an unlimited run never degrades"
+            );
             trees.push(tree);
         }
         assert_eq!(trees[0], trees[1], "sat backend is inert without budget trips");

@@ -162,7 +162,7 @@ pub(crate) fn unknown_cause(cause: &Mutex<Option<ResourceExhausted>>) -> Resourc
 /// SAT-based OR decomposability check for a completely specified
 /// function: `g1` vacuous in `a_vacuous`, `g2` vacuous in `b_vacuous`.
 /// Agrees exactly with [`crate::or_dec::decomposable`] on exact
-/// intervals.
+/// intervals. Runs [`try_or_decomposable`] with no conflict budget.
 pub fn or_decomposable(
     m: &Manager,
     f: NodeId,
@@ -170,22 +170,10 @@ pub fn or_decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    or_decomposable_with_stats(m, f, vars, a_vacuous, b_vacuous).0
-}
-
-/// [`or_decomposable`] plus the solver statistics of the check, for
-/// callers that track SAT effort (benchmarks, synthesis reports).
-pub fn or_decomposable_with_stats(
-    m: &Manager,
-    f: NodeId,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    let mut solver = Solver::new();
-    encode_or_formula(&mut solver, m, f, vars, a_vacuous, b_vacuous);
-    let dec = !solver.solve().is_sat();
-    (dec, solver.stats)
+    let gov = ResourceGovernor::unlimited();
+    try_or_decomposable(m, f, vars, a_vacuous, b_vacuous, u64::MAX, &gov)
+        .expect("unlimited governor cannot trip")
+        .0
 }
 
 /// Encodes the three-copy OR-decomposability refutation formula into
@@ -210,8 +198,8 @@ fn encode_or_formula(
     solver.add_clause([!fz]);
 }
 
-/// Governed, conflict-budgeted twin of [`or_decomposable`]: the solve
-/// runs under `max_conflicts` with one warm halved-budget retry on an
+/// Governed, conflict-budgeted form of [`or_decomposable`], with the
+/// solver statistics of the check: the solve runs under `max_conflicts` with one warm halved-budget retry on an
 /// `Unknown` verdict (counted in [`SolverStats::retries`]), and the
 /// search is interruptible through `gov` — injected faults, deadlines,
 /// and cancellation abort with the precise [`ResourceExhausted`] cause.
@@ -249,22 +237,13 @@ pub fn and_decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    and_decomposable_with_stats(m, f, vars, a_vacuous, b_vacuous).0
+    let gov = ResourceGovernor::unlimited();
+    try_and_decomposable(m, f, vars, a_vacuous, b_vacuous, u64::MAX, &gov)
+        .expect("unlimited governor cannot trip")
+        .0
 }
 
-/// [`and_decomposable`] plus the solver statistics of the check.
-pub fn and_decomposable_with_stats(
-    m: &mut Manager,
-    f: NodeId,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    let nf = m.not(f);
-    or_decomposable_with_stats(m, nf, vars, a_vacuous, b_vacuous)
-}
-
-/// Governed, conflict-budgeted twin of [`and_decomposable`].
+/// Governed, conflict-budgeted form of [`and_decomposable`].
 pub fn try_and_decomposable(
     m: &mut Manager,
     f: NodeId,
@@ -288,21 +267,10 @@ pub fn xor_decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    xor_decomposable_with_stats(m, f, vars, a_vacuous, b_vacuous).0
-}
-
-/// [`xor_decomposable`] plus the solver statistics of the check.
-pub fn xor_decomposable_with_stats(
-    m: &Manager,
-    f: NodeId,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    let mut solver = Solver::new();
-    encode_xor_formula(&mut solver, m, f, vars, a_vacuous, b_vacuous);
-    let dec = !solver.solve().is_sat();
-    (dec, solver.stats)
+    let gov = ResourceGovernor::unlimited();
+    try_xor_decomposable(m, f, vars, a_vacuous, b_vacuous, u64::MAX, &gov)
+        .expect("unlimited governor cannot trip")
+        .0
 }
 
 /// Encodes the four-copy XOR-decomposability refutation formula into
@@ -346,7 +314,7 @@ fn encode_xor_formula(
     solver.add_clause([!d2]);
 }
 
-/// Governed, conflict-budgeted twin of [`xor_decomposable`].
+/// Governed, conflict-budgeted form of [`xor_decomposable`].
 pub fn try_xor_decomposable(
     m: &Manager,
     f: NodeId,
@@ -378,20 +346,10 @@ pub fn try_xor_decomposable(
 /// Starting from the seed pair (`seed_a` exclusive to `g2`'s side,
 /// `seed_b` to `g1`'s), returns grown vacuity sets `(A, B)` with the
 /// decomposition `f = g1(x∖A) + g2(x∖B)` verified by a final solve, or
-/// `None` when even the seed pair is infeasible.
+/// `None` when even the seed pair is infeasible, together with the
+/// accumulated solver statistics of the whole growth loop (all
+/// incremental solves on the shared solver).
 pub fn grow_or_partition(
-    m: &Manager,
-    f: NodeId,
-    vars: &[VarId],
-    seed_a: VarId,
-    seed_b: VarId,
-) -> Option<Partition> {
-    grow_or_partition_with_stats(m, f, vars, seed_a, seed_b).0
-}
-
-/// [`grow_or_partition`] plus the accumulated solver statistics of the
-/// whole growth loop (all incremental solves on the shared solver).
-pub fn grow_or_partition_with_stats(
     m: &Manager,
     f: NodeId,
     vars: &[VarId],
@@ -481,6 +439,10 @@ fn xor_constraint(solver: &mut Solver, a: Lit, b: Lit, out: Lit) {
 
 /// Convenience: dispatches a SAT check for an exact interval and any
 /// primitive kind, mirroring the BDD-based check APIs.
+///
+/// # Panics
+///
+/// Panics if the interval is not exact.
 pub fn decomposable(
     m: &mut Manager,
     kind: crate::DecKind,
@@ -489,36 +451,22 @@ pub fn decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    decomposable_with_stats(m, kind, interval, vars, a_vacuous, b_vacuous).0
+    let gov = ResourceGovernor::unlimited();
+    try_decomposable(
+        m,
+        kind,
+        interval,
+        vars,
+        a_vacuous,
+        b_vacuous,
+        u64::MAX,
+        &gov,
+    )
+    .expect("unlimited governor cannot trip")
+    .0
 }
 
-/// [`decomposable`] plus the solver statistics of the dispatched check.
-pub fn decomposable_with_stats(
-    m: &mut Manager,
-    kind: crate::DecKind,
-    interval: &Interval,
-    vars: &[VarId],
-    a_vacuous: &[VarId],
-    b_vacuous: &[VarId],
-) -> (bool, SolverStats) {
-    assert!(
-        interval.is_exact(),
-        "the SAT baseline handles completely specified functions"
-    );
-    match kind {
-        crate::DecKind::Or => {
-            or_decomposable_with_stats(m, interval.lower, vars, a_vacuous, b_vacuous)
-        }
-        crate::DecKind::And => {
-            and_decomposable_with_stats(m, interval.lower, vars, a_vacuous, b_vacuous)
-        }
-        crate::DecKind::Xor => {
-            xor_decomposable_with_stats(m, interval.lower, vars, a_vacuous, b_vacuous)
-        }
-    }
-}
-
-/// Governed, conflict-budgeted twin of [`decomposable`]: dispatches the
+/// Governed, conflict-budgeted form of [`decomposable`]: dispatches the
 /// matching `try_*` check under `max_conflicts` and `gov`.
 ///
 /// # Panics
@@ -630,8 +578,10 @@ mod tests {
         let cd = m.and(vs[2], vs[3]);
         let f = m.or(ab, cd);
         let vars: Vec<VarId> = (0..4u32).map(VarId).collect();
-        let (a, b) =
-            grow_or_partition(&m, f, &vars, VarId(2), VarId(0)).expect("seed is feasible");
+        let (grown, stats) = grow_or_partition(&m, f, &vars, VarId(2), VarId(0));
+        let (a, b) = grown.expect("seed is feasible");
+        // The refutations of the multi-copy formula do real propagation.
+        assert!(stats.propagations > 0, "stats are empty: {stats:?}");
         // Whatever exactly was grown, it must be a feasible partition…
         let iv = Interval::exact(f);
         assert!(crate::or_dec::decomposable(&mut m, &iv, &a, &b), "A={a:?} B={b:?}");
@@ -655,6 +605,7 @@ mod tests {
             VarId(0),
             VarId(1)
         )
+        .0
         .is_none());
     }
 
@@ -677,7 +628,7 @@ mod tests {
             let vars: Vec<VarId> = (0..5u32).map(VarId).collect();
             let sa = VarId((next() % 5) as u32);
             let sb = VarId(((sa.index() + 1 + (next() % 4) as usize) % 5) as u32);
-            if let Some((a, b)) = grow_or_partition(&m, f, &vars, sa, sb) {
+            if let Some((a, b)) = grow_or_partition(&m, f, &vars, sa, sb).0 {
                 let iv = Interval::exact(f);
                 assert!(
                     crate::or_dec::decomposable(&mut m, &iv, &a, &b),
@@ -685,68 +636,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn with_stats_variants_agree_and_report_work() {
-        let mut m = Manager::new();
-        let vs = m.new_vars(4);
-        let ab = m.and(vs[0], vs[1]);
-        let cd = m.and(vs[2], vs[3]);
-        let f = m.or(ab, cd);
-        let vars: Vec<VarId> = (0..4u32).map(VarId).collect();
-        let a = [VarId(2), VarId(3)];
-        let b = [VarId(0), VarId(1)];
-        let (dec, stats) = or_decomposable_with_stats(&m, f, &vars, &a, &b);
-        assert_eq!(dec, or_decomposable(&m, f, &vars, &a, &b));
-        assert!(dec);
-        // A refutation of a multi-copy formula does real propagation.
-        assert!(stats.propagations > 0, "stats are empty: {stats:?}");
-        let (grown, grow_stats) =
-            grow_or_partition_with_stats(&m, f, &vars, VarId(2), VarId(0));
-        assert!(grown.is_some());
-        assert!(grow_stats.propagations > 0);
-        assert!(grow_stats.conflicts >= stats.conflicts.min(1));
-        let iv = Interval::exact(f);
-        let (dec2, xstats) = decomposable_with_stats(
-            &mut m,
-            crate::DecKind::Xor,
-            &iv,
-            &vars,
-            &a,
-            &b,
-        );
-        assert_eq!(dec2, xor_decomposable(&m, f, &vars, &a, &b));
-        assert!(xstats.propagations > 0);
-    }
-
-    #[test]
-    fn governed_check_agrees_with_ungoverned() {
-        let mut m = Manager::new();
-        let vs = m.new_vars(4);
-        let ab = m.and(vs[0], vs[1]);
-        let cd = m.and(vs[2], vs[3]);
-        let f = m.or(ab, cd);
-        let vars: Vec<VarId> = (0..4u32).map(VarId).collect();
-        let a = [VarId(2), VarId(3)];
-        let b = [VarId(0), VarId(1)];
-        let gov = ResourceGovernor::unlimited();
-        let (dec, _) =
-            try_or_decomposable(&m, f, &vars, &a, &b, u64::MAX, &gov).expect("no limits");
-        assert_eq!(dec, or_decomposable(&m, f, &vars, &a, &b));
-        let iv = Interval::exact(f);
-        let (xdec, _) = try_decomposable(
-            &mut m,
-            crate::DecKind::Xor,
-            &iv,
-            &vars,
-            &a,
-            &b,
-            u64::MAX,
-            &gov,
-        )
-        .expect("no limits");
-        assert_eq!(xdec, xor_decomposable(&m, f, &vars, &a, &b));
     }
 
     #[test]
@@ -777,6 +666,7 @@ mod tests {
         .expect("retry absorbs the one-shot fault");
         assert!(dec);
         assert_eq!(stats.retries, 1, "the absorbed fault must be counted");
+        assert!(stats.propagations > 0, "stats are empty: {stats:?}");
         assert_eq!(plan.faults_fired(), 1);
     }
 
@@ -917,6 +807,19 @@ mod tests {
             &[VarId(2)],
             &[VarId(0), VarId(1)]
         ));
+        let (dec, stats) = try_decomposable(
+            &mut m,
+            crate::DecKind::Xor,
+            &iv,
+            &vars,
+            &[VarId(2)],
+            &[VarId(0), VarId(1)],
+            u64::MAX,
+            &ResourceGovernor::unlimited(),
+        )
+        .expect("no limits");
+        assert!(dec);
+        assert!(stats.propagations > 0, "stats are empty: {stats:?}");
     }
 
     #[test]

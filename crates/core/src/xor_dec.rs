@@ -59,13 +59,6 @@ impl Scratch {
     }
 
     /// Renames `x_i → y_i` for the positions in `set`.
-    fn flip(&mut self, f: NodeId, set: &[usize]) -> NodeId {
-        let pairs: Vec<(VarId, VarId)> =
-            set.iter().map(|&i| (self.xs[i], self.ys[i])).collect();
-        self.mgr.rename(f, &pairs)
-    }
-
-    /// Budgeted [`Scratch::flip`].
     fn try_flip(
         &mut self,
         f: NodeId,
@@ -107,32 +100,9 @@ pub fn decomposable(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> bool {
-    let mut s = Scratch::new(m, interval, vars);
-    let a = positions(vars, a_vacuous);
-    let b = positions(vars, b_vacuous);
-    let ab: Vec<usize> = {
-        let mut t = a.clone();
-        t.extend(b.iter().copied());
-        t.sort_unstable();
-        t.dedup();
-        t
-    };
-    let l_a = s.flip(s.lower, &a);
-    let u_a = s.flip(s.upper, &a);
-    let l_b = s.flip(s.lower, &b);
-    let u_b = s.flip(s.upper, &b);
-    let l_ab = s.flip(s.lower, &ab);
-    let u_ab = s.flip(s.upper, &ab);
-    let must1 = s.mgr.xor(s.lower, l_a);
-    let must2 = s.mgr.xor(s.upper, u_a);
-    let premise = s.mgr.and(must1, must2);
-    let dc_b = s.mgr.xor(l_b, u_b);
-    let dc_ab = s.mgr.xor(l_ab, u_ab);
-    let differ = s.mgr.xor(u_b, u_ab);
-    let t = s.mgr.or(dc_b, dc_ab);
-    let may = s.mgr.or(t, differ);
-    let holds = s.mgr.implies(premise, may);
-    holds.is_true()
+    let gov = ResourceGovernor::unlimited();
+    try_decomposable(m, interval, vars, a_vacuous, b_vacuous, &gov)
+        .expect("unlimited governor cannot trip")
 }
 
 /// Budgeted [`decomposable`].
@@ -188,24 +158,12 @@ pub fn witnesses(
     a_vacuous: &[VarId],
     b_vacuous: &[VarId],
 ) -> Option<(NodeId, NodeId)> {
-    let member = interval.pick_member(m);
-    let candidates = [member, interval.lower, interval.upper];
-    for f in candidates {
-        let g1 = cofactor_set(m, f, a_vacuous, false);
-        let f_b0 = cofactor_set(m, f, b_vacuous, false);
-        let f_ab0 = cofactor_set(m, f_b0, a_vacuous, false);
-        let g2 = m.xor(f_b0, f_ab0);
-        let composed = m.xor(g1, g2);
-        if interval.contains(m, composed) {
-            let _ = vars; // supports are implied by the vacuity sets
-            return Some((g1, g2));
-        }
-    }
-    None
+    let gov = ResourceGovernor::unlimited();
+    try_witnesses(m, interval, vars, a_vacuous, b_vacuous, &gov)
+        .expect("unlimited governor cannot trip")
 }
 
-/// Budgeted [`witnesses`]: same candidate order, same construction; a
-/// successful call returns exactly what the unbudgeted version would.
+/// Budgeted [`witnesses`].
 pub fn try_witnesses(
     m: &mut Manager,
     interval: &Interval,
@@ -223,19 +181,11 @@ pub fn try_witnesses(
         let g2 = m.try_xor(f_b0, f_ab0, gov)?;
         let composed = m.try_xor(g1, g2, gov)?;
         if interval.try_contains(m, composed, gov)? {
-            let _ = vars;
+            let _ = vars; // supports are implied by the vacuity sets
             return Ok(Some((g1, g2)));
         }
     }
     Ok(None)
-}
-
-fn cofactor_set(m: &mut Manager, f: NodeId, vars: &[VarId], value: bool) -> NodeId {
-    let mut acc = f;
-    for &v in vars {
-        acc = m.cofactor(acc, v, value);
-    }
-    acc
 }
 
 fn try_cofactor_set(
@@ -264,58 +214,8 @@ impl Choices {
     /// `x_i` in `supp(g1)`, likewise `c2` for `g2`; results are reported
     /// in the caller's variable ids through the returned [`ChoiceSet`].
     pub fn compute(m: &mut Manager, interval: &Interval, vars: &[VarId]) -> ChoiceSet {
-        let n = vars.len();
-        let mut mgr = Manager::with_vars(4 * n);
-        let c1: Vec<VarId> = (0..n).map(|i| VarId(4 * i as u32)).collect();
-        let c2: Vec<VarId> = (0..n).map(|i| VarId(4 * i as u32 + 1)).collect();
-        let xs: Vec<VarId> = (0..n).map(|i| VarId(4 * i as u32 + 2)).collect();
-        let ys: Vec<VarId> = (0..n).map(|i| VarId(4 * i as u32 + 3)).collect();
-        let var_map: FxHashMap<VarId, VarId> =
-            vars.iter().copied().zip(xs.iter().copied()).collect();
-        let lower = mgr.transfer_from(m, interval.lower, &var_map);
-        let upper = mgr.transfer_from(m, interval.upper, &var_map);
-
-        // Parameterized substitutions: x_i ← ITE(sel_i, x_i, y_i).
-        let make_subst = |mgr: &mut Manager, sel: &dyn Fn(&mut Manager, usize) -> NodeId| {
-            let pairs: Vec<(VarId, NodeId)> = (0..n)
-                .map(|i| {
-                    let s = sel(mgr, i);
-                    let xv = mgr.var(xs[i]);
-                    let yv = mgr.var(ys[i]);
-                    let ite = mgr.ite(s, xv, yv);
-                    (xs[i], ite)
-                })
-                .collect();
-            mgr.register_substitution(&pairs)
-        };
-        let s1 = make_subst(&mut mgr, &|mgr, i| mgr.var(c1[i]));
-        let s2 = make_subst(&mut mgr, &|mgr, i| mgr.var(c2[i]));
-        let s12 = make_subst(&mut mgr, &|mgr, i| {
-            let a = mgr.var(c1[i]);
-            let b = mgr.var(c2[i]);
-            mgr.and(a, b)
-        });
-
-        let l1 = mgr.vector_compose(lower, s1);
-        let u1 = mgr.vector_compose(upper, s1);
-        let l2 = mgr.vector_compose(lower, s2);
-        let u2 = mgr.vector_compose(upper, s2);
-        let l12 = mgr.vector_compose(lower, s12);
-        let u12 = mgr.vector_compose(upper, s12);
-
-        let must1 = mgr.xor(lower, l1);
-        let must2 = mgr.xor(upper, u1);
-        let premise = mgr.and(must1, must2);
-        let dc2 = mgr.xor(l2, u2);
-        let dc12 = mgr.xor(l12, u12);
-        let differ = mgr.xor(u2, u12);
-        let t = mgr.or(dc2, dc12);
-        let may = mgr.or(t, differ);
-        let body = mgr.implies(premise, may);
-        let mut quant: Vec<VarId> = xs.clone();
-        quant.extend(ys.iter().copied());
-        let bi = mgr.forall(body, &quant);
-        ChoiceSet { mgr, bi, c1, c2, ext_vars: vars.to_vec() }
+        Choices::try_compute(m, interval, vars, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
     /// Budgeted [`Choices::compute`]: the doubled variable rail makes the
@@ -338,8 +238,8 @@ impl Choices {
         let lower = mgr.transfer_from(m, interval.lower, &var_map);
         let upper = mgr.transfer_from(m, interval.upper, &var_map);
 
-        let make_subst = |mgr: &mut Manager,
-                          sel: &dyn Fn(&mut Manager, usize) -> NodeId| {
+        // Parameterized substitutions: x_i ← ITE(sel_i, x_i, y_i).
+        let make_subst = |mgr: &mut Manager, sel: &dyn Fn(&mut Manager, usize) -> NodeId| {
             let pairs: Vec<(VarId, NodeId)> = (0..n)
                 .map(|i| {
                     let s = sel(mgr, i);

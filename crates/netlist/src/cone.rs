@@ -120,71 +120,14 @@ impl<'a> ConeExtractor<'a> {
     ///
     /// Panics if the cone reaches a leaf with no assigned variable.
     pub fn bdd(&mut self, m: &mut Manager, signal: SignalId) -> NodeId {
-        if let Some(&f) = self.cache.get(&signal) {
-            return f;
-        }
-        // Iterative post-order to survive deep netlists.
-        let mut stack: Vec<(SignalId, bool)> = vec![(signal, false)];
-        while let Some((s, expanded)) = stack.pop() {
-            if self.cache.contains_key(&s) {
-                continue;
-            }
-            match self.netlist.kind(s) {
-                NodeKind::Input | NodeKind::Latch { .. } => {
-                    let v = *self.var_map.get(&s).unwrap_or_else(|| {
-                        panic!(
-                            "cone leaf `{}` has no BDD variable assigned",
-                            self.netlist.signal_name(s)
-                        )
-                    });
-                    let node = m.var(v);
-                    self.cache.insert(s, node);
-                }
-                NodeKind::Const(b) => {
-                    self.cache.insert(s, if b { NodeId::TRUE } else { NodeId::FALSE });
-                }
-                NodeKind::Gate(kind) => {
-                    if expanded {
-                        let fanins: Vec<NodeId> =
-                            self.netlist.fanins(s).iter().map(|f| self.cache[f]).collect();
-                        let node = match kind {
-                            crate::GateKind::And => m.and_many(fanins),
-                            crate::GateKind::Or => m.or_many(fanins),
-                            crate::GateKind::Xor => m.xor_many(fanins),
-                            crate::GateKind::Nand => {
-                                let x = m.and_many(fanins);
-                                m.not(x)
-                            }
-                            crate::GateKind::Nor => {
-                                let x = m.or_many(fanins);
-                                m.not(x)
-                            }
-                            crate::GateKind::Xnor => {
-                                let x = m.xor_many(fanins);
-                                m.not(x)
-                            }
-                            crate::GateKind::Not => m.not(fanins[0]),
-                            crate::GateKind::Buf => fanins[0],
-                        };
-                        self.cache.insert(s, node);
-                    } else {
-                        stack.push((s, true));
-                        for &f in self.netlist.fanins(s) {
-                            if !self.cache.contains_key(&f) {
-                                stack.push((f, false));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.cache[&signal]
+        self.try_bdd(m, signal, &ResourceGovernor::unlimited())
+            .expect("unlimited governor cannot trip")
     }
 
-    /// Budgeted [`ConeExtractor::bdd`]: identical traversal, but every
-    /// gate combination runs under `gov`. On exhaustion the partial
-    /// per-signal cache is kept, so a retry with a larger budget resumes
-    /// where this attempt stopped.
+    /// Budgeted [`ConeExtractor::bdd`]: every gate combination runs
+    /// under `gov`. On exhaustion the partial per-signal cache is kept,
+    /// so a retry with a larger budget resumes where this attempt
+    /// stopped.
     ///
     /// # Panics
     ///
@@ -198,6 +141,7 @@ impl<'a> ConeExtractor<'a> {
         if let Some(&f) = self.cache.get(&signal) {
             return Ok(f);
         }
+        // Iterative post-order to survive deep netlists.
         let mut stack: Vec<(SignalId, bool)> = vec![(signal, false)];
         while let Some((s, expanded)) = stack.pop() {
             if self.cache.contains_key(&s) {
